@@ -49,7 +49,6 @@ from .solver import (
     build_sehs,
     cl_filter,
     gstar_pool,
-    in_allowed,
     introduce_cut,
     is_balanced,
     naive_pool,

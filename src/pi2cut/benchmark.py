@@ -99,15 +99,6 @@ def expected_cut_quantifier_count(n: int) -> int:
     return 4 * n + 3
 
 
-def closed_form_cutfree_count(n: int) -> int:
-    """Reference closed form for the cut-free count; its component sums
-    disagree with the generated sets, so it is reported next to the
-    counted value rather than asserted."""
-    if n == 2:
-        return n**n + 6 * n ** (n - 1) + 5
-    return n**n + 6 * n ** (n - 1) + 4 * sum(n**i for i in range(1, n - 1)) + 5
-
-
 def minimal_cutfree_instances(n: int) -> tuple[HerbrandInstanceSet, bool, int]:
     """Instantiation sets of a minimal cut-free proof, the validity of the
     instantiated sequent, and its position-difference count."""

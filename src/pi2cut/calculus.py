@@ -12,7 +12,7 @@ share an atom, so weakening never appears explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .syntax import (
     And,
@@ -94,66 +94,60 @@ class Node:
 Policy = Callable[[Sequent, Sequence[tuple[str, Formula]]], int]
 
 
-def _candidates(s: Sequent) -> list[tuple[str, Formula]]:
-    out = [
-        (LEFT, f)
-        for f in s.left
-        if not isinstance(f, (Atom, ForAll, Exists))
-    ]
-    out += [
-        (RIGHT, f)
-        for f in s.right
-        if not isinstance(f, (Atom, ForAll, Exists))
-    ]
+def _candidates(
+    left: Iterable[Formula], right: Iterable[Formula]
+) -> list[tuple[str, Formula]]:
+    """The compound formulas of both sides, canonically least first."""
+    out = [(LEFT, f) for f in left if not isinstance(f, (Atom, ForAll, Exists))]
+    out += [(RIGHT, f) for f in right if not isinstance(f, (Atom, ForAll, Exists))]
     out.sort(key=lambda c: (formula_key(c[1]), c[0]))
     return out
 
 
-def _premises_of(s: Sequent, side: str, f: Formula) -> tuple[tuple[str, Sequent], ...]:
+_Added = tuple[tuple[Formula, ...], tuple[Formula, ...]]
+
+# The decomposition rules: for each side and connective, the rule label and,
+# per premise, the formulas the premise adds on the left and on the right.
+_RULES: dict[tuple[str, type], tuple[str, Callable[..., tuple[_Added, ...]]]] = {
+    (LEFT, And): (AND_L, lambda f: (((f.left, f.right), ()),)),
+    (LEFT, Or): (OR_L, lambda f: (((f.left,), ()), ((f.right,), ()))),
+    (LEFT, Imp): (IMP_L, lambda f: (((), (f.left,)), ((f.right,), ()))),
+    (LEFT, Not): (NOT_L, lambda f: (((), (f.sub,)),)),
+    (RIGHT, And): (AND_R, lambda f: (((), (f.left,)), ((), (f.right,)))),
+    (RIGHT, Or): (OR_R, lambda f: (((), (f.left, f.right)),)),
+    (RIGHT, Imp): (IMP_R, lambda f: (((f.left,), (f.right,)),)),
+    (RIGHT, Not): (NOT_R, lambda f: (((f.sub,), ()),)),
+}
+
+
+def _rule(side: str, f: Formula) -> tuple[str, tuple[_Added, ...]]:
+    entry = _RULES.get((side, type(f)))
+    if entry is None:
+        raise SyntaxError_(f"cannot decompose {formula_to_sexp(f)} on the {side}")
+    label, added = entry
+    return label, added(f)
+
+
+def _premises_of(s: Sequent, side: str, f: Formula) -> tuple[str, tuple[Sequent, ...]]:
     """Rule label and premises for decomposing `f` on `side` of `s`."""
-    if side == LEFT:
-        rest = s.left - {f}
-        if isinstance(f, And):
-            return ((AND_L, Sequent(rest | {f.left, f.right}, s.right)),)
-        if isinstance(f, Or):
-            return (
-                (OR_L, Sequent(rest | {f.left}, s.right)),
-                (OR_L, Sequent(rest | {f.right}, s.right)),
-            )
-        if isinstance(f, Imp):
-            return (
-                (IMP_L, Sequent(rest, s.right | {f.left})),
-                (IMP_L, Sequent(rest | {f.right}, s.right)),
-            )
-        if isinstance(f, Not):
-            return ((NOT_L, Sequent(rest, s.right | {f.sub})),)
-    else:
-        rest = s.right - {f}
-        if isinstance(f, And):
-            return (
-                (AND_R, Sequent(s.left, rest | {f.left})),
-                (AND_R, Sequent(s.left, rest | {f.right})),
-            )
-        if isinstance(f, Or):
-            return ((OR_R, Sequent(s.left, rest | {f.left, f.right})),)
-        if isinstance(f, Imp):
-            return ((IMP_R, Sequent(s.left | {f.left}, rest | {f.right})),)
-        if isinstance(f, Not):
-            return ((NOT_R, Sequent(s.left | {f.sub}, rest)),)
-    raise SyntaxError_(f"cannot decompose {formula_to_sexp(f)} on the {side}")
+    label, added = _rule(side, f)
+    left, right = (s.left - {f}, s.right) if side == LEFT else (s.left, s.right - {f})
+    return label, tuple(
+        Sequent(left.union(l_add) if l_add else left, right.union(r_add) if r_add else right)
+        for l_add, r_add in added
+    )
 
 
 def _expand(s: Sequent, stop_at_axiom: bool, policy: Policy | None) -> Node:
     if stop_at_axiom and s.shares_atom():
         return Node(AXIOM, s)
-    cands = _candidates(s)
+    cands = _candidates(s.left, s.right)
     if not cands:
         rule = AXIOM if s.shares_atom() else NON_TAUT_LEAF
         return Node(rule, s)
     side, f = cands[policy(s, cands) if policy is not None else 0]
-    prem = _premises_of(s, side, f)
-    rule = prem[0][0]
-    subs = tuple(_expand(p, stop_at_axiom, policy) for _, p in prem)
+    rule, prem = _premises_of(s, side, f)
+    subs = tuple(_expand(p, stop_at_axiom, policy) for p in prem)
     return Node(rule, s, subs, principal=f, side=side)
 
 
@@ -176,8 +170,8 @@ def _greedy_pick(s: Sequent, cands: Sequence[tuple[str, Formula]]) -> int:
     best = 0
     best_key = (len(s.left) + len(s.right) + 9, 9)
     for idx, (side, f) in enumerate(cands):
-        prem = _premises_of(s, side, f)
-        open_count = sum(1 for _, q in prem if not q.shares_atom())
+        _, prem = _premises_of(s, side, f)
+        open_count = sum(1 for q in prem if not q.shares_atom())
         key = (open_count, len(prem))
         if key < best_key:
             best, best_key = idx, key
@@ -210,49 +204,27 @@ def _merge(tags: dict[Formula, str], f: Formula, tag: str) -> None:
 def tagged_leaves(
     left: dict[Formula, str], right: dict[Formula, str]
 ) -> Iterator[tuple[dict[Formula, str], dict[Formula, str]]]:
-    cands = [(LEFT, f) for f in left if not isinstance(f, (Atom, ForAll, Exists))]
-    cands += [(RIGHT, f) for f in right if not isinstance(f, (Atom, ForAll, Exists))]
-    if not cands:
-        yield (left, right)
-        return
-    cands.sort(key=lambda c: (formula_key(c[1]), c[0]))
-    side, f = cands[0]
-    tag = (left if side == LEFT else right)[f]
-
-    def branch(
-        l_add: Sequence[Formula], r_add: Sequence[Formula]
-    ) -> tuple[dict[Formula, str], dict[Formula, str]]:
-        nl = dict(left)
-        nr = dict(right)
-        del (nl if side == LEFT else nr)[f]
-        for g in l_add:
-            _merge(nl, g, tag)
-        for g in r_add:
-            _merge(nr, g, tag)
-        return nl, nr
-
-    if side == LEFT:
-        if isinstance(f, And):
-            parts = [branch([f.left, f.right], [])]
-        elif isinstance(f, Or):
-            parts = [branch([f.left], []), branch([f.right], [])]
-        elif isinstance(f, Imp):
-            parts = [branch([], [f.left]), branch([f.right], [])]
-        else:
-            assert isinstance(f, Not)
-            parts = [branch([], [f.sub])]
-    else:
-        if isinstance(f, And):
-            parts = [branch([], [f.left]), branch([], [f.right])]
-        elif isinstance(f, Or):
-            parts = [branch([], [f.left, f.right])]
-        elif isinstance(f, Imp):
-            parts = [branch([f.left], [f.right])]
-        else:
-            assert isinstance(f, Not)
-            parts = [branch([f.sub], [])]
-    for nl, nr in parts:
-        yield from tagged_leaves(nl, nr)
+    """The leaves of `maximal_derivation`, in its order, with every formula
+    tagged: a formula a rule adds takes the tag of the rule's principal."""
+    stack = [(left, right)]
+    while stack:
+        left, right = stack.pop()
+        cands = _candidates(left, right)
+        if not cands:
+            yield left, right
+            continue
+        side, f = cands[0]
+        tag = (left if side == LEFT else right)[f]
+        premises = []
+        for l_add, r_add in _rule(side, f)[1]:
+            nl, nr = dict(left), dict(right)
+            del (nl if side == LEFT else nr)[f]
+            for g in l_add:
+                _merge(nl, g, tag)
+            for g in r_add:
+                _merge(nr, g, tag)
+            premises.append((nl, nr))
+        stack.extend(reversed(premises))
 
 
 # ---------------------------------------------------------------------------
@@ -562,15 +534,14 @@ def _check_node(n: Node, path: tuple[int, ...]) -> CheckReport:
         return CheckReport(True)
 
     try:
-        expected = _premises_of(s, n.side, f)
+        rule, want_seqs = _premises_of(s, n.side, f)
     except SyntaxError_ as e:
         return _fail(path, str(e))
-    if expected[0][0] != n.rule:
+    if rule != n.rule:
         return _fail(path, f"rule {n.rule} does not fit principal {formula_to_sexp(f)}")
-    if len(n.premises) != len(expected):
-        return _fail(path, f"{n.rule} needs {len(expected)} premises")
-    got = [p.sequent for p in n.premises]
-    want_seqs = [q for _, q in expected]
+    if len(n.premises) != len(want_seqs):
+        return _fail(path, f"{n.rule} needs {len(want_seqs)} premises")
+    got = tuple(p.sequent for p in n.premises)
     if got != want_seqs and set(got) != set(want_seqs):
         return _fail(path, f"{n.rule} premises do not match the rule schema")
     return CheckReport(True)

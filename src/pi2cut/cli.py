@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .benchmark import (
     BenchmarkError,
-    closed_form_cutfree_count,
     expected_cut_quantifier_count,
     generate_sn,
     minimal_cutfree_instances,
@@ -30,6 +29,7 @@ from .sexpr import ParseError
 from .solver import (
     CapExceeded,
     NoSolutionUnderPool,
+    SearchStats,
     SolutionReport,
     SolverError,
     SolverOptions,
@@ -49,13 +49,8 @@ def _read(path: str) -> str:
         raise ParseError(str(e), 0, 0)
 
 
-def _report_lines(report: SolutionReport) -> list[tuple[str, str]]:
-    stats = report.stats
-    rows = [
-        ("status", "solved"),
-        ("pool", stats.pool),
-        ("pool-size", str(stats.pool_size)),
-    ]
+def _stats_rows(stats: SearchStats) -> list[tuple[str, str]]:
+    rows = [("pool", stats.pool), ("pool-size", str(stats.pool_size))]
     if stats.unifiable is not None:
         rows.append(("unifiable", str(stats.unifiable).lower()))
     rows += [
@@ -63,6 +58,14 @@ def _report_lines(report: SolutionReport) -> list[tuple[str, str]]:
         ("cl-passed", str(stats.cl_passed)),
         ("sol-passed", str(stats.sol_passed)),
         ("caps-hit", str(stats.caps_hit).lower()),
+    ]
+    return rows
+
+
+def _report_lines(report: SolutionReport) -> list[tuple[str, str]]:
+    rows = [
+        ("status", "solved"),
+        *_stats_rows(report.stats),
         ("solution", clause_set_to_sexp(report.solutions[0])),
     ]
     for extra in report.solutions[1:]:
@@ -120,28 +123,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         report = introduce_cut(
             pf.problem, pf.grammar, options, term_set=pf.herbrand_terms
         )
-    except NoSolutionUnderPool as e:
-        _emit(
-            [
-                ("status", "no-solution"),
-                ("pool", e.stats.pool),
-                ("pool-size", str(e.stats.pool_size)),
-                ("candidates", str(e.stats.candidates)),
-                ("caps-hit", str(e.stats.caps_hit).lower()),
-            ],
-            args.json,
-        )
-        return 1
-    except CapExceeded as e:
-        _emit(
-            [
-                ("status", "cap-exceeded"),
-                ("pool", e.stats.pool),
-                ("candidates", str(e.stats.candidates)),
-                ("caps-hit", "true"),
-            ],
-            args.json,
-        )
+    except (NoSolutionUnderPool, CapExceeded) as e:
+        status = "no-solution" if isinstance(e, NoSolutionUnderPool) else "cap-exceeded"
+        _emit([("status", status), *_stats_rows(e.stats)], args.json)
         return 1
     _emit(_report_lines(report), args.json)
     if args.emit_proof:
@@ -205,7 +189,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rows += [
             ("cut-free-valid", str(valid).lower()),
             ("cut-free-q-counted", str(counted)),
-            ("cut-free-q-closed-form", str(closed_form_cutfree_count(args.n))),
             ("cut-free-exceeds-n^n", str(counted > args.n**args.n).lower()),
         ]
     _emit(rows, args.json)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .calculus import (
@@ -130,6 +131,11 @@ class Sehs:
 
     def reduced_representation(self) -> Sequent:
         return Sequent.of(self.f_instances(), self.g_instances())
+
+    @cached_property
+    def leaves(self) -> tuple[PartitionedLeaf, ...]:
+        """The partitioned leaves in canonical order, computed once."""
+        return tuple(sorted(partitioned_dnta(self), key=PartitionedLeaf.key))
 
     def schematic_sequent(self) -> Sequent:
         """Display form with the unknown matrix as X-atoms."""
@@ -280,16 +286,6 @@ def a_prime(leaf: PartitionedLeaf, sehs: Sehs) -> frozenset[Literal]:
     return frozenset(out)
 
 
-def in_allowed(leaf: PartitionedLeaf, literals: frozenset[Literal], sehs: Sehs) -> bool:
-    """Can the whole set instantiate into the leaf's alpha part under one
-    common existential witness term?"""
-    for t in sehs.grammar.t_terms:
-        sub = {X: Var(ALPHA), Y: t}
-        if all(substitute_literal(l, sub) in leaf.a_part for l in literals):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Closure filters
 
@@ -297,7 +293,7 @@ def in_allowed(leaf: PartitionedLeaf, literals: frozenset[Literal], sehs: Sehs) 
 class _Ctx:
     def __init__(self, sehs: Sehs):
         self.sehs = sehs
-        self.leaves = sorted(partitioned_dnta(sehs), key=PartitionedLeaf.key)
+        self.leaves = sehs.leaves
         g = sehs.grammar
         self.m = g.m
         self.p = g.p
@@ -321,6 +317,8 @@ class _Ctx:
         return self._alpha_t[key]
 
     def allowed(self, leaf_idx: int, literals: frozenset[Literal]) -> bool:
+        """Can the whole set instantiate into the leaf's alpha part under
+        one common existential witness term?"""
         key = (leaf_idx, literals)
         if key not in self._allowed:
             leaf = self.leaves[leaf_idx]
@@ -455,7 +453,7 @@ def naive_pool(sehs: Sehs) -> frozenset[Literal]:
     via a universal term and its eigenvariable."""
     g = sehs.grammar
     out: set[Literal] = set()
-    for leaf in partitioned_dnta(sehs):
+    for leaf in sehs.leaves:
         for lit in leaf.a_part | leaf.n_part:
             for t in g.t_terms:
                 out |= anti_instances(lit, Var(ALPHA), t)
@@ -471,9 +469,8 @@ def gstar_pool(sehs: Sehs) -> tuple[frozenset[Literal], bool]:
     one leaf's A or N side unifies with the dual of another leaf's B or N
     side.  Also reports whether every leaf has such a partner."""
     sys = gstar_of(sehs.grammar)
-    leaves = sorted(partitioned_dnta(sehs), key=PartitionedLeaf.key)
     all_right: set[Literal] = set()
-    for leaf in leaves:
+    for leaf in sehs.leaves:
         all_right |= leaf.b_part | leaf.n_part
     pair_memo: dict[tuple[Literal, Literal], frozenset[Literal]] = {}
 
@@ -485,7 +482,7 @@ def gstar_pool(sehs: Sehs) -> tuple[frozenset[Literal], bool]:
 
     pool: set[Literal] = set()
     unifiable = True
-    for leaf in leaves:
+    for leaf in sehs.leaves:
         found = False
         for l in leaf.a_part | leaf.n_part:
             for q in all_right:
@@ -533,26 +530,26 @@ def verify_solution(sehs: Sehs, clauses: ClauseSet) -> bool:
 def is_balanced(sehs: Sehs, clauses: ClauseSet) -> bool:
     """A solution is balanced when every axiom of a maximal derivation of
     the solved sequent closes on at least one atom pair with a member not
-    descending from the cut material."""
-    if not verify_solution(sehs, clauses):
-        raise NotASolution("balance is defined for solutions only")
+    descending from the cut material.  A leaf whose sides share no atom
+    shows that the clause set is not a solution: `NotASolution`."""
     eh = ExtendedHerbrandSequent(sehs.problem, sehs.grammar, dnf_of(clauses))
     bridge = Imp(disj(eh.alpha_instances()), conj(eh.beta_instances()))
     left: dict[Formula, str] = {f: ORIGIN_END for f in eh.f_instances()}
     # An end formula of the same shape as the bridge keeps its end tag.
     left.setdefault(bridge, ORIGIN_CUT)
     right: dict[Formula, str] = {f: ORIGIN_END for f in eh.g_instances()}
+    balanced = True
     for l_tags, r_tags in tagged_leaves(left, right):
         shared = [
             f for f in l_tags if isinstance(f, Atom) and f in r_tags
         ]
         if not shared:
-            raise NotASolution("derivation of a verified solution has an open leaf")
+            raise NotASolution("balance is defined for solutions only")
         if not any(
             l_tags[a] == ORIGIN_END or r_tags[a] == ORIGIN_END for a in shared
         ):
-            return False
-    return True
+            balanced = False
+    return balanced
 
 
 # ---------------------------------------------------------------------------

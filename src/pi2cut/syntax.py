@@ -315,10 +315,6 @@ def substitute_literal(lit: Literal, sub: Substitution) -> Literal:
     return Literal(lit.positive, substitute(lit.atom, sub))  # type: ignore[arg-type]
 
 
-def literal_free_vars(lit: Literal) -> frozenset[str]:
-    return free_vars(lit.atom)
-
-
 # ---------------------------------------------------------------------------
 # Sequents
 

@@ -2,7 +2,6 @@ import pytest
 
 from pi2cut.benchmark import (
     BenchmarkError,
-    closed_form_cutfree_count,
     expected_cut_quantifier_count,
     generate_sn,
     minimal_cutfree_instances,
@@ -63,6 +62,4 @@ class TestMinimalCutfree:
             minimal_cutfree_instances(7)
 
     def test_closed_form_values(self):
-        assert closed_form_cutfree_count(2) == 21
-        assert closed_form_cutfree_count(3) == 98
         assert expected_cut_quantifier_count(5) == 23

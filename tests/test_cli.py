@@ -43,6 +43,23 @@ class TestSolve:
         check_out = capsys.readouterr().out
         assert "ok" in check_out
 
+    def test_no_solution_json_stats(self, capsys):
+        assert main(["solve", TWO_BASES, "--pool", "naive", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "no-solution"
+        assert (data["cl-passed"], data["sol-passed"]) == ("696", "0")
+        assert main(["solve", TWO_BASES, "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["unifiable"] == "true"
+
+    def test_cap_exceeded_json_stats(self, capsys):
+        argv = ["solve", SHARED, "--pool", "naive", "--max-candidates", "10", "--json"]
+        assert main(argv) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "cap-exceeded"
+        assert data["caps-hit"] == "true"
+        assert (data["pool-size"], data["cl-passed"]) == ("6", "1")
+
     def test_starting_set_file(self, tmp_path, capsys):
         pool_file = tmp_path / "start.txt"
         pool_file.write_text("(Q x y)\n")

@@ -15,14 +15,13 @@ from pi2cut.herbrand import (
     proof_from_herbrand,
 )
 from pi2cut.solver import (
+    _Ctx,
     a_prime,
     cl_filter,
     clauses_from_pool,
     gstar_pool,
-    in_allowed,
     is_balanced,
     naive_pool,
-    partitioned_dnta,
     sol_filter,
     verify_solution,
 )
@@ -107,13 +106,14 @@ def test_allowed_sets_subset_closed():
     for seed in range(40):
         rng = random.Random(1700 + seed)
         sehs = random_sehs(rng)
-        for leaf in partitioned_dnta(sehs):
+        ctx = _Ctx(sehs)
+        for idx, leaf in enumerate(sehs.leaves):
             prime = sorted(a_prime(leaf, sehs), key=str)[:4]
             for k in range(2, len(prime) + 1):
                 for combo in itertools.combinations(prime, k):
-                    if in_allowed(leaf, frozenset(combo), sehs):
+                    if ctx.allowed(idx, frozenset(combo)):
                         for member in combo:
-                            assert in_allowed(leaf, frozenset({member}), sehs)
+                            assert ctx.allowed(idx, frozenset({member}))
 
 
 def test_proof_round_trip_on_random_solutions():

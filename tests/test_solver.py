@@ -17,15 +17,16 @@ from pi2cut.herbrand import herbrand_term_set
 from pi2cut.solver import (
     CoverFailure,
     NoSolutionUnderPool,
+    NotASolution,
     PartitionedLeaf,
     SolverOptions,
+    _Ctx,
     a_prime,
     anti_instances,
     build_sehs,
     cl_filter,
     clauses_from_pool,
     gstar_pool,
-    in_allowed,
     introduce_cut,
     is_balanced,
     naive_pool,
@@ -207,31 +208,33 @@ class TestInAllowed:
     def test_swap_pair_allowed_sets(self):
         pf = swap_pair()
         sehs, _ = build_sehs(pf.problem, pf.grammar)
+        ctx = _Ctx(sehs)
         P = lit("P", x, y)
         Q = lit("Q", x, y)
-        for leaf in partitioned_dnta(sehs):
-            assert in_allowed(leaf, frozenset({P}), sehs)
-            assert in_allowed(leaf, frozenset({Q}), sehs)
-            assert not in_allowed(leaf, frozenset({P, Q}), sehs)
+        for idx in range(len(sehs.leaves)):
+            assert ctx.allowed(idx, frozenset({P}))
+            assert ctx.allowed(idx, frozenset({Q}))
+            assert not ctx.allowed(idx, frozenset({P, Q}))
 
     def test_subset_closure(self):
         pf = swap_pair()
         sehs, _ = build_sehs(pf.problem, pf.grammar)
-        for leaf in partitioned_dnta(sehs):
-            prime = a_prime(leaf, sehs)
-            big = frozenset(prime)
-            if in_allowed(leaf, big, sehs):
+        ctx = _Ctx(sehs)
+        for idx, leaf in enumerate(sehs.leaves):
+            big = a_prime(leaf, sehs)
+            if ctx.allowed(idx, big):
                 for member in big:
-                    assert in_allowed(leaf, frozenset({member}), sehs)
+                    assert ctx.allowed(idx, frozenset({member}))
 
     def test_benchmark_allowed(self):
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(2)
         sehs, _ = build_sehs(sn.problem, sn.grammar)
+        ctx = _Ctx(sehs)
         f = lambda t: App("f", (t,))
         target = frozenset({lit("P", x, f(y))})
-        assert all(in_allowed(leaf, target, sehs) for leaf in partitioned_dnta(sehs))
+        assert all(ctx.allowed(idx, target) for idx in range(len(sehs.leaves)))
 
 
 class TestFilters:
@@ -343,6 +346,24 @@ class TestVerifyAndBalance:
         sehs, _ = build_sehs(pf.problem, pf.grammar)
         joint = frozenset([frozenset({lit("P", x, y), lit("Q", x, y)})])
         assert not verify_solution(sehs, joint)
+        with pytest.raises(NotASolution):
+            is_balanced(sehs, joint)
+
+    def test_tagged_walk_follows_the_maximal_derivation(self):
+        from pi2cut.benchmark import generate_sn
+        from pi2cut.calculus import ORIGIN_END, maximal_derivation, tagged_leaves
+
+        for pf in (generate_sn(3), unbalanced_pair()):
+            s = introduce_cut(pf.problem, pf.grammar).eh.sequent()
+            tagged = [
+                (frozenset(l), frozenset(r))
+                for l, r in tagged_leaves(
+                    dict.fromkeys(s.left, ORIGIN_END), dict.fromkeys(s.right, ORIGIN_END)
+                )
+            ]
+            leaves = [(n.sequent.left, n.sequent.right) for n in maximal_derivation(s).leaves()]
+            assert len(leaves) > 1
+            assert tagged == leaves
 
     def test_benchmark_balanced(self):
         from pi2cut.benchmark import generate_sn
@@ -435,6 +456,23 @@ class TestIntroduceCut:
         assert _report_lines(first) == _report_lines(second)
         sig = sn.problem.signature
         assert print_proof(first.proof, sig) == print_proof(second.proof, sig)
+
+    def test_one_leaf_pass_per_solve(self, monkeypatch):
+        import pi2cut.solver as solver
+        from pi2cut.benchmark import generate_sn
+
+        calls = []
+        real = solver.partitioned_dnta
+
+        def counted(sehs):
+            calls.append(sehs)
+            return real(sehs)
+
+        monkeypatch.setattr(solver, "partitioned_dnta", counted)
+        for pf, pool in ((generate_sn(3), "gstar"), (two_step(), "naive")):
+            calls.clear()
+            introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
+            assert len(calls) == 1
 
     def test_cap_exceeded(self):
         from pi2cut.solver import CapExceeded
