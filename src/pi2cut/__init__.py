@@ -45,7 +45,6 @@ from .solver import (
     Sehs,
     SolutionReport,
     SolverOptions,
-    a_prime,
     build_sehs,
     cl_filter,
     gstar_pool,

@@ -134,12 +134,6 @@ def validate(g: SchematicPi2Grammar) -> tuple[list[str], list[str]]:
     return violations, warnings
 
 
-def validate_strict(g: SchematicPi2Grammar) -> list[str]:
-    """Strict mode: duplicate witness productions are violations too."""
-    violations, warnings = validate(g)
-    return violations + warnings
-
-
 # ---------------------------------------------------------------------------
 # Rigid language
 

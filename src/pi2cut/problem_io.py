@@ -132,21 +132,12 @@ def _tuple_of(node: SNode, sig: Signature, variables: set[str]) -> tuple[Term, .
     return tuple(parse_term(t, sig, variables) for t in lst.items)
 
 
-def parse_problem(text: str) -> ProblemFile:
-    sections: dict[str, SList] = {}
-    for node in parse_all(text):
-        lst = expect_list(node, "section")
-        head = head_of(lst, "section")
-        if head in sections:
-            raise ParseError(f"duplicate section '{head}'", lst.line, lst.col)
-        sections[head] = lst
-    for required in ("signature", "forall-vars", "exists-vars", "antecedent", "succedent", "grammar"):
-        if required not in sections:
-            raise ParseError(f"missing section '{required}'", 1, 1)
-
+def _parse_signature(lst: SList) -> Signature:
+    """The `(signature (fun name arity) (pred name arity) ...)` section
+    shared by problem and proof files."""
     functions: dict[str, int] = {}
     predicates: dict[str, int] = {}
-    for item in sections["signature"].items[1:]:
+    for item in lst.items[1:]:
         decl = expect_list(item, "symbol declaration")
         kind = head_of(decl, "fun or pred")
         if kind not in ("fun", "pred") or len(decl.items) != 3:
@@ -161,15 +152,40 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError(f"symbol '{name}' declared twice", decl.line, decl.col)
         (functions if kind == "fun" else predicates)[name] = int(arity_tok.value)
     try:
-        sig = Signature(functions, predicates)
+        return Signature(functions, predicates)
     except SyntaxError_ as e:
-        raise ParseError(str(e), sections["signature"].line, sections["signature"].col)
+        raise ParseError(str(e), lst.line, lst.col)
+
+
+def _print_signature(sig: Signature, pad: str) -> list[str]:
+    lines = [f"{pad}(signature"]
+    for name in sorted(sig.functions):
+        lines.append(f"{pad}  (fun {name} {sig.functions[name]})")
+    for name in sorted(sig.predicates):
+        lines.append(f"{pad}  (pred {name} {sig.predicates[name]})")
+    lines.append(f"{pad})")
+    return lines
+
+
+def parse_problem(text: str) -> ProblemFile:
+    sections: dict[str, SList] = {}
+    for node in parse_all(text):
+        lst = expect_list(node, "section")
+        head = head_of(lst, "section")
+        if head in sections:
+            raise ParseError(f"duplicate section '{head}'", lst.line, lst.col)
+        sections[head] = lst
+    for required in ("signature", "forall-vars", "exists-vars", "antecedent", "succedent", "grammar"):
+        if required not in sections:
+            raise ParseError(f"missing section '{required}'", 1, 1)
+
+    sig = _parse_signature(sections["signature"])
 
     def var_block(name: str) -> tuple[str, ...]:
         out = []
         for item in sections[name].items[1:]:
             v = expect_atom(item, "variable").value
-            if is_reserved(v) or v in functions or v in predicates:
+            if is_reserved(v) or v in sig.functions or v in sig.predicates:
                 raise ParseError(f"'{v}' cannot be a quantified variable", item.line, item.col)
             out.append(v)
         return tuple(out)
@@ -225,13 +241,7 @@ def parse_problem(text: str) -> ProblemFile:
 
 
 def print_problem(pf: ProblemFile) -> str:
-    sig = pf.problem.signature
-    lines = ["(signature"]
-    for name in sorted(sig.functions):
-        lines.append(f"  (fun {name} {sig.functions[name]})")
-    for name in sorted(sig.predicates):
-        lines.append(f"  (pred {name} {sig.predicates[name]})")
-    lines.append(")")
+    lines = _print_signature(pf.problem.signature, "")
     lines.append("(forall-vars" + "".join(f" {v}" for v in pf.problem.forall_vars) + ")")
     lines.append("(exists-vars" + "".join(f" {v}" for v in pf.problem.exists_vars) + ")")
     lines.append("(antecedent " + formula_to_sexp(pf.problem.antecedent) + ")")
@@ -314,13 +324,7 @@ def _print_node(n: Node, indent: int) -> list[str]:
 
 
 def print_proof(root: Node, sig: Signature) -> str:
-    lines = ["(proof"]
-    lines.append("  (signature")
-    for name in sorted(sig.functions):
-        lines.append(f"    (fun {name} {sig.functions[name]})")
-    for name in sorted(sig.predicates):
-        lines.append(f"    (pred {name} {sig.predicates[name]})")
-    lines.append("  )")
+    lines = ["(proof", *_print_signature(sig, "  ")]
     lines.extend(_print_node(root, 1))
     lines.append(")")
     return "\n".join(lines) + "\n"
@@ -345,6 +349,10 @@ _RULES = {
 }
 
 
+# Item count, head included, of each node part of fixed shape.
+_PART_SIZES = {"rule": 2, "principal": 3, "witness": 2, "eigen": 2, "keep": 1, "cut-formula": 2}
+
+
 def _parse_node(node: SNode, sig: Signature) -> Node:
     lst = expect_list(node, "proof node")
     if head_of(lst, "node") != "node":
@@ -361,6 +369,9 @@ def _parse_node(node: SNode, sig: Signature) -> Node:
     for item in lst.items[1:]:
         part = expect_list(item, "node part")
         head = head_of(part, "node part")
+        size = _PART_SIZES.get(head)
+        if size is not None and len(part.items) != size:
+            raise ParseError(f"({head} ...) takes {size - 1} item(s)", part.line, part.col)
         if head == "rule":
             rule = expect_atom(part.items[1], "rule name").value
             if rule not in _RULES:
@@ -382,7 +393,9 @@ def _parse_node(node: SNode, sig: Signature) -> Node:
             for sub in part.items[1:]:
                 sublist = expect_list(sub, "sequent side")
                 which = head_of(sublist, "left or right")
-                target = left if which == "left" else right
+                if which not in (calculus.LEFT, calculus.RIGHT):
+                    raise ParseError(f"unknown sequent side '{which}'", sublist.line, sublist.col)
+                target = left if which == calculus.LEFT else right
                 for f in sublist.items[1:]:
                     target.append(parse_formula(f, sig, None))
             sequent = Sequent.of(left, right)
@@ -415,15 +428,5 @@ def parse_proof(text: str) -> tuple[Node, Signature]:
     sig_list = expect_list(lst.items[1], "signature")
     if head_of(sig_list, "signature") != "signature":
         raise ParseError("expected (signature ...)", sig_list.line, sig_list.col)
-    functions: dict[str, int] = {}
-    predicates: dict[str, int] = {}
-    for item in sig_list.items[1:]:
-        decl = expect_list(item, "symbol declaration")
-        kind = head_of(decl, "fun or pred")
-        name = expect_atom(decl.items[1], "symbol name").value
-        arity_tok = expect_atom(decl.items[2], "arity")
-        if not arity_tok.value.isdigit():
-            raise ParseError("arity must be a number", arity_tok.line, arity_tok.col)
-        (functions if kind == "fun" else predicates)[name] = int(arity_tok.value)
-    sig = Signature(functions, predicates)
+    sig = _parse_signature(sig_list)
     return _parse_node(lst.items[2], sig), sig

@@ -12,6 +12,7 @@ into a checked proof with a single cut.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -137,16 +138,6 @@ class Sehs:
         """The partitioned leaves in canonical order, computed once."""
         return tuple(sorted(partitioned_dnta(self), key=PartitionedLeaf.key))
 
-    def schematic_sequent(self) -> Sequent:
-        """Display form with the unknown matrix as X-atoms."""
-        g = self.grammar
-        alpha_side = [Atom("X", (Var(ALPHA), t)) for t in g.t_terms]
-        beta_side = [
-            Atom("X", (r, Var(beta(j)))) for j, r in enumerate(g.r_terms, 1)
-        ]
-        bridge = Imp(disj(alpha_side), conj(beta_side))
-        return Sequent.of(self.f_instances() + [bridge], self.g_instances())
-
 
 @dataclass(frozen=True)
 class PartitionedLeaf:
@@ -241,7 +232,8 @@ def anti_instances(target: Literal, x_img: Term, y_img: Term) -> frozenset[Liter
     independently be generalised or kept."""
     sites = _count_sites(target.atom, x_img, y_img)
     if sites > _ANTI_SITE_CAP:
-        raise SolverError(f"too many generalisation sites ({sites})")
+        stats = SearchStats(pool="naive", caps_hit=True)
+        raise CapExceeded(stats, f"too many generalisation sites ({sites})")
 
     def gen_term(t: Term) -> list[Term]:
         opts: list[Term] = []
@@ -274,16 +266,6 @@ def _count_sites(f: Atom, x_img: Term, y_img: Term) -> int:
         return hits
 
     return sum(walk(a) for a in f.args)
-
-
-def a_prime(leaf: PartitionedLeaf, sehs: Sehs) -> frozenset[Literal]:
-    """Literals over {x, y} mapping into the leaf's alpha part under some
-    existential witness term."""
-    out: set[Literal] = set()
-    for lit in leaf.a_part:
-        for t in sehs.grammar.t_terms:
-            out |= anti_instances(lit, Var(ALPHA), t)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -410,26 +392,15 @@ def _passes_sol(cand: Sequence[Clause], ctx: _Ctx) -> bool:
 
 
 def cl_filter(
-    starting: Iterable[Clause],
-    sehs: Sehs,
-    max_clauses: int | None = None,
-    max_candidates: int | None = None,
+    starting: Iterable[Clause], sehs: Sehs, max_clauses: int | None = None
 ) -> frozenset[ClauseSet]:
     """Subsets of the starting set that survive the universal-side filter."""
     ctx = _Ctx(sehs)
-    clauses = sorted(set(starting), key=clause_key)
+    clauses = set(starting)
     limit = len(clauses) if max_clauses is None else max_clauses
-    out = []
-    examined = 0
-    for k in range(1, limit + 1):
-        for combo in itertools.combinations(clauses, k):
-            examined += 1
-            if max_candidates is not None and examined > max_candidates:
-                stats = SearchStats(candidates=examined, caps_hit=True)
-                raise CapExceeded(stats, f"more than {max_candidates} candidates")
-            if _passes_cl(combo, ctx):
-                out.append(frozenset(combo))
-    return frozenset(out)
+    return frozenset(
+        frozenset(cs) for cs in _clause_sets(clauses, limit) if _passes_cl(cs, ctx)
+    )
 
 
 def sol_filter(candidates: Iterable[ClauseSet], sehs: Sehs) -> frozenset[ClauseSet]:
@@ -469,30 +440,17 @@ def gstar_pool(sehs: Sehs) -> tuple[frozenset[Literal], bool]:
     one leaf's A or N side unifies with the dual of another leaf's B or N
     side.  Also reports whether every leaf has such a partner."""
     sys = gstar_of(sehs.grammar)
-    all_right: set[Literal] = set()
-    for leaf in sehs.leaves:
-        all_right |= leaf.b_part | leaf.n_part
-    pair_memo: dict[tuple[Literal, Literal], frozenset[Literal]] = {}
-
-    def unified(l: Literal, q: Literal) -> frozenset[Literal]:
-        key = (l, q)
-        if key not in pair_memo:
-            pair_memo[key] = unifiable_pair(l, q, sys)
-        return pair_memo[key]
-
-    pool: set[Literal] = set()
-    unifiable = True
-    for leaf in sehs.leaves:
-        found = False
-        for l in leaf.a_part | leaf.n_part:
-            for q in all_right:
-                common = unified(l, q)
-                if common:
-                    found = True
-                    pool |= common
-        if not found:
-            unifiable = False
-    return frozenset(pool), unifiable
+    lefts = {l for leaf in sehs.leaves for l in leaf.a_part | leaf.n_part}
+    rights = {q for leaf in sehs.leaves for q in leaf.b_part | leaf.n_part}
+    # Per distinct left literal, everything it unifies into over all rights.
+    common = {
+        l: frozenset().union(*(unifiable_pair(l, q, sys) for q in rights))
+        for l in lefts
+    }
+    unifiable = all(
+        any(common[l] for l in leaf.a_part | leaf.n_part) for leaf in sehs.leaves
+    )
+    return frozenset().union(*common.values()), unifiable
 
 
 def clauses_from_pool(pool: Iterable[Literal], max_clause_size: int) -> list[Clause]:
@@ -591,43 +549,47 @@ def _starting_clauses(sehs: Sehs, options: SolverOptions, stats: SearchStats) ->
         stats.pool = options.pool
         stats.pool_size = len(pool)
         return clauses_from_pool(pool, options.max_clause_size)
-    clauses = sorted(options.pool, key=clause_key)
-    for c in clauses:
-        for lit in c:
-            extra = free_vars(lit.atom) - {X, Y}
-            if extra:
-                raise SolverError(f"starting-set literal uses {sorted(extra)}")
+    clauses = list(options.pool)
+    extra = set().union(*(free_vars(l.atom) for c in clauses for l in c)) - {X, Y}
+    if extra:
+        raise SolverError(f"starting-set literal uses {sorted(extra)}")
     stats.pool = "file"
     stats.pool_size = len({l for c in clauses for l in c})
     return clauses
 
 
-_SORT_BUDGET = 1_000_000
+def _clause_sets(clauses: Iterable[Clause], max_clauses: int) -> Iterator[tuple[Clause, ...]]:
+    """Every set of 1..max_clauses distinct clauses, lazily and smallest
+    first: by clause count, then literal count, then the tuple of the
+    clauses' canonical keys, each set listing its clauses by size, then key.
 
-
-def _candidate_stream(
-    clauses: Sequence[Clause], options: SolverOptions, stats: SearchStats
-) -> Iterator[tuple[Clause, ...]]:
-    import math
-
+    Per clause count and literal total, each size profile (a multiset of
+    clause sizes with that total) streams the product of combinations
+    within each size group in key order; merging the profile streams
+    keeps that order without holding a whole level in memory."""
     keys = {c: clause_key(c) for c in clauses}
-    for k in range(1, min(options.max_clauses, len(clauses)) + 1):
-        combos: Iterator[tuple[Clause, ...]] = itertools.combinations(clauses, k)
-        if math.comb(len(clauses), k) <= _SORT_BUDGET:
-            combos = iter(
-                sorted(
-                    combos,
-                    key=lambda cs: (sum(len(c) for c in cs), tuple(keys[c] for c in cs)),
-                )
+    ordered = sorted(keys, key=lambda c: (len(c), keys[c]))
+    groups = {
+        size: list(group) for size, group in itertools.groupby(ordered, key=len)
+    }
+
+    def profile_sets(profile: tuple[int, ...]) -> Iterator[tuple[Clause, ...]]:
+        # A nested loop, not itertools.product, which holds every factor.
+        if not profile:
+            yield ()
+            return
+        count = profile.count(profile[0])
+        for head in itertools.combinations(groups[profile[0]], count):
+            for tail in profile_sets(profile[count:]):
+                yield head + tail
+
+    for k in range(1, min(max_clauses, len(ordered)) + 1):
+        profiles = sorted(itertools.combinations_with_replacement(groups, k), key=sum)
+        for _, same_total in itertools.groupby(profiles, key=sum):
+            yield from heapq.merge(
+                *map(profile_sets, same_total),
+                key=lambda cs: tuple(keys[c] for c in cs),
             )
-        # else: the candidate cap fires inside this k anyway; fall back to
-        # the (still deterministic) combination order over the sorted clauses
-        for combo in combos:
-            stats.candidates += 1
-            if stats.candidates > options.max_candidates:
-                stats.caps_hit = True
-                raise CapExceeded(stats, f"more than {options.max_candidates} candidates")
-            yield combo
 
 
 def introduce_cut(
@@ -646,7 +608,11 @@ def introduce_cut(
     stats = SearchStats()
     clauses = _starting_clauses(sehs, options, stats)
     found: list[ClauseSet] = []
-    for cand in _candidate_stream(clauses, options, stats):
+    for cand in _clause_sets(clauses, options.max_clauses):
+        if stats.candidates >= options.max_candidates:
+            stats.caps_hit = True
+            raise CapExceeded(stats, f"more than {options.max_candidates} candidates")
+        stats.candidates += 1
         if not _passes_cl(cand, ctx):
             continue
         stats.cl_passed += 1

@@ -455,14 +455,9 @@ def sharp_count(tuples: Iterable[Sequence[Term]]) -> int:
     arities = {len(t) for t in tups}
     if len(arities) != 1:
         raise SyntaxError_(f"mixed tuple arities: {sorted(arities)}")
-    ordered = sorted(set(tups), key=tuple_key)
-    return _sharp_in_order(ordered)
-
-
-def _sharp_in_order(ordered: Sequence[tuple[Term, ...]]) -> int:
     total = 0
     seen: list[tuple[Term, ...]] = []
-    for t in ordered:
+    for t in sorted(set(tups), key=tuple_key):
         fresh = sum(
             1 for s in range(len(t)) if all(t[s] != r[s] for r in seen)
         )
@@ -470,15 +465,3 @@ def _sharp_in_order(ordered: Sequence[tuple[Term, ...]]) -> int:
         seen.append(t)
     return total
 
-
-def sharp_count_order_range(tuples: Iterable[Sequence[Term]]) -> tuple[int, int]:
-    """Diagnostic: minimum and maximum of the count over all enumeration
-    orders.  Exponential in the number of tuples; intended for small sets.
-    """
-    tups = sorted({tuple(t) for t in tuples}, key=tuple_key)
-    if not tups:
-        return (0, 0)
-    if len(tups) > 7:
-        raise SyntaxError_("order-range diagnostic limited to 7 tuples")
-    values = {_sharp_in_order(perm) for perm in itertools.permutations(tups)}
-    return (min(values), max(values))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fixtures import PROBLEM_DIR
 from pi2cut.cli import main
 
@@ -59,6 +61,22 @@ class TestSolve:
         assert data["status"] == "cap-exceeded"
         assert data["caps-hit"] == "true"
         assert (data["pool-size"], data["cl-passed"]) == ("6", "1")
+        assert data["candidates"] == "10"
+
+    def test_generalisation_site_cap(self, tmp_path, capsys):
+        # 17 occurrences of alpha in one leaf literal: more generalisation
+        # sites than the naive pool explores, a search limit on valid input.
+        args = " ".join(["x1"] * 17)
+        problem = tmp_path / "wide.p2"
+        problem.write_text(
+            "(signature (fun r 0) (fun t1 1) (pred P 17))\n"
+            "(forall-vars x1)\n(exists-vars y1)\n"
+            f"(antecedent (P {args}))\n(succedent (P {args.replace('x1', 'y1')}))\n"
+            "(grammar (f-tuples (alpha)) (g-tuples (b1)) (r-terms r) (t-terms (t1 alpha)))\n"
+        )
+        assert main(["solve", str(problem), "--pool", "naive", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert (data["status"], data["pool"], data["caps-hit"]) == ("cap-exceeded", "naive", "true")
 
     def test_starting_set_file(self, tmp_path, capsys):
         pool_file = tmp_path / "start.txt"
@@ -87,6 +105,23 @@ class TestCheck:
         f = tmp_path / "junk.sexp"
         f.write_text("(proof (signature) oops")
         assert main(["check", str(f)]) == 2
+
+    @pytest.mark.parametrize(
+        "signature, node",
+        [
+            ("(fun f)", "(rule axiom) (sequent (left) (right))"),
+            ("(fun f 0) (fun f 1)", "(rule axiom) (sequent (left) (right))"),
+            ("(pred x 0)", "(rule axiom) (sequent (left) (right))"),
+            ("", "(rule)"),
+            ("(pred P 0)", "(rule axiom) (principal left) (sequent (left (P)) (right (P)))"),
+            ("(pred P 0)", "(rule axiom) (sequent (left (P)) (middle (P)))"),
+        ],
+    )
+    def test_malformed_proof_exit_two(self, tmp_path, capsys, signature, node):
+        f = tmp_path / "bad.sexp"
+        f.write_text(f"(proof (signature {signature}) (node {node}))")
+        assert main(["check", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestLanguage:

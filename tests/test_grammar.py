@@ -12,7 +12,6 @@ from pi2cut.grammar import (
     rigid_language,
     unifiable_pair,
     validate,
-    validate_strict,
 )
 from pi2cut.herbrand import herbrand_term_set
 from pi2cut.syntax import (
@@ -70,7 +69,6 @@ class TestValidate:
         violations, warnings = validate(pf.grammar)
         assert violations == []
         assert any("duplicate" in w for w in warnings)
-        assert validate_strict(pf.grammar) != []
 
     def test_succedent_tuple_variable_condition(self):
         sig = Signature({"t1": 1}, {"P": 2})

@@ -16,7 +16,6 @@ from pi2cut.herbrand import (
 )
 from pi2cut.solver import (
     _Ctx,
-    a_prime,
     cl_filter,
     clauses_from_pool,
     gstar_pool,
@@ -107,8 +106,9 @@ def test_allowed_sets_subset_closed():
         rng = random.Random(1700 + seed)
         sehs = random_sehs(rng)
         ctx = _Ctx(sehs)
-        for idx, leaf in enumerate(sehs.leaves):
-            prime = sorted(a_prime(leaf, sehs), key=str)[:4]
+        pool = sorted(naive_pool(sehs), key=str)
+        for idx in range(len(sehs.leaves)):
+            prime = [l for l in pool if ctx.allowed(idx, frozenset({l}))][:4]
             for k in range(2, len(prime) + 1):
                 for combo in itertools.combinations(prime, k):
                     if ctx.allowed(idx, frozenset(combo)):

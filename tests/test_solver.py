@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fixtures import (
@@ -20,8 +22,8 @@ from pi2cut.solver import (
     NotASolution,
     PartitionedLeaf,
     SolverOptions,
+    _clause_sets,
     _Ctx,
-    a_prime,
     anti_instances,
     build_sehs,
     cl_filter,
@@ -39,7 +41,9 @@ from pi2cut.syntax import (
     App,
     Atom,
     Var,
+    clause_key,
     const,
+    free_vars,
     sequent_to_sexp,
 )
 
@@ -62,8 +66,6 @@ class TestBuildSehs:
             "(sequent (left (and (P alpha (t1 alpha)) (Q alpha (t2 alpha))))"
             " (right (and (P r b1) (Q r b2))))"
         )
-        shown = sequent_to_sexp(sehs.schematic_sequent())
-        assert "(X alpha (t1 alpha))" in shown and "(X r b1)" in shown
 
     def test_swap_pair_reduced_representation(self):
         pf = swap_pair()
@@ -175,36 +177,45 @@ class TestAntiInstances:
         assert lit("P", x, f(y)) in got
         assert lit("P", x, f(f1(x))) in got
 
-    def test_a_prime_on_swap_pair(self):
+
+def allowed_literals(sehs, ctx, idx):
+    """The naive-pool literals that instantiate into the alpha part of leaf
+    `idx` under some existential witness."""
+    return [l for l in sorted(naive_pool(sehs), key=str) if ctx.allowed(idx, frozenset({l}))]
+
+
+class TestInAllowed:
+    def test_allowed_literals_on_swap_pair(self):
         pf = swap_pair()
         sehs, _ = build_sehs(pf.problem, pf.grammar)
-        leaves = sorted(partitioned_dnta(sehs), key=PartitionedLeaf.key)
-        for leaf in leaves:
-            prime = a_prime(leaf, sehs)
-            assert lit("P", x, y) in prime or lit("Q", x, y) in prime
-            for l in prime:
-                from pi2cut.syntax import free_vars
-
+        ctx = _Ctx(sehs)
+        for idx in range(len(sehs.leaves)):
+            allowed = allowed_literals(sehs, ctx, idx)
+            assert lit("P", x, y) in allowed or lit("Q", x, y) in allowed
+            for l in allowed:
                 assert free_vars(l.atom) <= {"x", "y"}
 
-    def test_a_prime_empty(self):
-        leaf = PartitionedLeaf(frozenset(), frozenset({nlit("P", const("r"), Var("b1"))}), frozenset())
+    def test_allowed_literals_empty(self):
         pf = swap_pair()
         sehs, _ = build_sehs(pf.problem, pf.grammar)
-        assert a_prime(leaf, sehs) == frozenset()
+        ctx = _Ctx(sehs)
+        # A leaf without an alpha part admits no literal.
+        ctx.leaves = (
+            PartitionedLeaf(frozenset(), frozenset({nlit("P", const("r"), Var("b1"))}), frozenset()),
+        )
+        assert allowed_literals(sehs, ctx, 0) == []
 
-    def test_a_prime_on_benchmark_leaf(self):
+    def test_allowed_literals_on_benchmark_leaf(self):
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(2)
         sehs, _ = build_sehs(sn.problem, sn.grammar)
+        ctx = _Ctx(sehs)
         f = lambda t: App("f", (t,))
         target = lit("P", x, f(y))
-        for leaf in partitioned_dnta(sehs):
-            assert target in a_prime(leaf, sehs)
+        for idx in range(len(sehs.leaves)):
+            assert target in allowed_literals(sehs, ctx, idx)
 
-
-class TestInAllowed:
     def test_swap_pair_allowed_sets(self):
         pf = swap_pair()
         sehs, _ = build_sehs(pf.problem, pf.grammar)
@@ -220,8 +231,8 @@ class TestInAllowed:
         pf = swap_pair()
         sehs, _ = build_sehs(pf.problem, pf.grammar)
         ctx = _Ctx(sehs)
-        for idx, leaf in enumerate(sehs.leaves):
-            big = a_prime(leaf, sehs)
+        for idx in range(len(sehs.leaves)):
+            big = frozenset(allowed_literals(sehs, ctx, idx))
             if ctx.allowed(idx, big):
                 for member in big:
                     assert ctx.allowed(idx, frozenset({member}))
@@ -333,6 +344,36 @@ class TestPools:
         pool = [lit("P", x, y), lit("Q", x, y)]
         clauses = clauses_from_pool(pool, max_clause_size=2)
         assert [len(c) for c in clauses] == [1, 1, 2]
+
+
+class TestClauseSets:
+    def test_smallest_first_order(self):
+        pf = two_bases()
+        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        clauses = clauses_from_pool(naive_pool(sehs), max_clause_size=3)
+        keys = {c: clause_key(c) for c in clauses}
+        expected = [
+            combo
+            for k in (1, 2, 3)
+            for combo in sorted(
+                itertools.combinations(clauses, k),
+                key=lambda cs: (sum(map(len, cs)), tuple(keys[c] for c in cs)),
+            )
+        ]
+        assert len(expected) == 11521
+        assert list(_clause_sets(reversed(clauses), 3)) == expected
+
+    def test_order_holds_on_large_levels(self):
+        # 11 literals give 231 clauses, so C(231, 3) > 10**6 sets of three
+        # clauses; the C(11, 3) sets of three unit clauses come first.
+        pool = [lit(p, x, y) for p in "ABCDEFGHIJK"]
+        clauses = clauses_from_pool(pool, max_clause_size=3)
+        units = [c for c in clauses if len(c) == 1]
+        assert len(units) == 11 and len(clauses) == 231
+        level3 = itertools.dropwhile(lambda cs: len(cs) < 3, _clause_sets(clauses, 3))
+        first = list(itertools.islice(level3, 165))
+        assert all(sum(map(len, cs)) == 3 for cs in first)
+        assert first == list(itertools.combinations(units, 3))
 
 
 class TestVerifyAndBalance:

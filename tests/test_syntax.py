@@ -30,7 +30,6 @@ from pi2cut.syntax import (
     neg,
     pos,
     sharp_count,
-    sharp_count_order_range,
     substitute,
     substitute_term,
 )
@@ -187,8 +186,6 @@ class TestSharpCount:
         ]
         assert sharp_count(f_tuples) == 3
         assert sharp_count(g_tuples) == 6
-        lo, hi = sharp_count_order_range(g_tuples)
-        assert lo <= 6 <= hi
 
     def test_suffix_sharing(self):
         alpha = Var(ALPHA)
