@@ -238,6 +238,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SyntaxError_, GrammarError, BenchmarkError, SolverError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
+    except RecursionError:
+        # Formulas, terms and proofs are read and walked recursively; no
+        # depth cap is set, since real proofs nest deeper as n grows.
+        print("error: input nested too deeply", file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -353,7 +353,21 @@ _RULES = {
 _PART_SIZES = {"rule": 2, "principal": 3, "witness": 2, "eigen": 2, "keep": 1, "cut-formula": 2}
 
 
-def _parse_node(node: SNode, sig: Signature) -> Node:
+def _proof_formula(node: SNode, sig: Signature, memo: dict[str, Formula]) -> Formula:
+    """A proof formula, parsed once per distinct source text.  Proof
+    formulas are read with no variable list under one signature, so the
+    result depends on the text alone, and a text in `memo` has already
+    parsed without error.  Equal formulas come back as one object."""
+    if not isinstance(node, SList):
+        return parse_formula(node, sig, None)
+    key = node.text
+    formula = memo.get(key)
+    if formula is None:
+        formula = memo[key] = parse_formula(node, sig, None)
+    return formula
+
+
+def _parse_node(node: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
     lst = expect_list(node, "proof node")
     if head_of(lst, "node") != "node":
         raise ParseError("expected (node ...)", lst.line, lst.col)
@@ -378,7 +392,7 @@ def _parse_node(node: SNode, sig: Signature) -> Node:
                 raise ParseError(f"unknown rule '{rule}'", part.line, part.col)
         elif head == "principal":
             side = expect_atom(part.items[1], "side").value
-            principal = parse_formula(part.items[2], sig, None)
+            principal = _proof_formula(part.items[2], sig, memo)
         elif head == "witness":
             witness = parse_term(part.items[1], sig, None)
         elif head == "eigen":
@@ -386,7 +400,7 @@ def _parse_node(node: SNode, sig: Signature) -> Node:
         elif head == "keep":
             keep = True
         elif head == "cut-formula":
-            cut_formula = parse_formula(part.items[1], sig, None)
+            cut_formula = _proof_formula(part.items[1], sig, memo)
         elif head == "sequent":
             left: list[Formula] = []
             right: list[Formula] = []
@@ -397,10 +411,10 @@ def _parse_node(node: SNode, sig: Signature) -> Node:
                     raise ParseError(f"unknown sequent side '{which}'", sublist.line, sublist.col)
                 target = left if which == calculus.LEFT else right
                 for f in sublist.items[1:]:
-                    target.append(parse_formula(f, sig, None))
+                    target.append(_proof_formula(f, sig, memo))
             sequent = Sequent.of(left, right)
         elif head == "premises":
-            premises = tuple(_parse_node(p, sig) for p in part.items[1:])
+            premises = tuple(_parse_node(p, sig, memo) for p in part.items[1:])
         else:
             raise ParseError(f"unknown node part '{head}'", part.line, part.col)
     if rule is None or sequent is None:
@@ -429,4 +443,4 @@ def parse_proof(text: str) -> tuple[Node, Signature]:
     if head_of(sig_list, "signature") != "signature":
         raise ParseError("expected (signature ...)", sig_list.line, sig_list.col)
     sig = _parse_signature(sig_list)
-    return _parse_node(lst.items[2], sig), sig
+    return _parse_node(lst.items[2], sig, {}), sig

@@ -90,6 +90,21 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "solution-alt" in out
 
+    def test_deep_nesting_exit_two(self, tmp_path, capsys):
+        depth = 5000
+        problem = tmp_path / "deep.p2"
+        problem.write_text(
+            "(signature (fun r 0) (fun t1 1) (pred P 2))\n"
+            "(forall-vars x1)\n(exists-vars y1)\n"
+            f"(antecedent {'(not ' * depth}(P x1 x1){')' * depth})\n"
+            "(succedent (P y1 y1))\n"
+            "(grammar (f-tuples (alpha)) (g-tuples (b1)) (r-terms r) (t-terms (t1 alpha)))\n"
+        )
+        assert main(["solve", str(problem)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nested too deeply")
+        assert "Traceback" not in err
+
 
 class TestCheck:
     def test_tampered_proof_fails(self, tmp_path, capsys):
@@ -100,6 +115,19 @@ class TestCheck:
         bad_file = tmp_path / "bad.sexp"
         bad_file.write_text(tampered)
         assert main(["check", str(bad_file)]) == 3
+
+    def test_deep_nesting_exit_two(self, tmp_path, capsys):
+        depth = 5000
+        node = "(node (rule axiom) (sequent (left (P)) (right (P)))"
+        f = tmp_path / "deep.sexp"
+        f.write_text(
+            f"(proof (signature (pred P 0)) {(node + ' (premises ') * depth}{node}"
+            f"{'))' * depth}))"
+        )
+        assert main(["check", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nested too deeply")
+        assert "Traceback" not in err
 
     def test_garbage_exit_two(self, tmp_path):
         f = tmp_path / "junk.sexp"

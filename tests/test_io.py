@@ -1,9 +1,17 @@
+import contextlib
+import io
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import PROBLEM_DIR, load, two_step, two_step_instances
+from pi2cut import problem_io
+from pi2cut.benchmark import generate_sn, minimal_cutfree_instances
 from pi2cut.calculus import check_proof, complexities
+from pi2cut.cli import main
+from pi2cut.grammar import GrammarError
 from pi2cut.herbrand import proof_from_herbrand
 from pi2cut.problem_io import (
     parse_formula,
@@ -15,6 +23,7 @@ from pi2cut.problem_io import (
     print_starting_set,
 )
 from pi2cut.sexpr import ParseError, parse_all
+from pi2cut.solver import SolverOptions, introduce_cut
 from pi2cut.syntax import (
     And,
     App,
@@ -25,6 +34,7 @@ from pi2cut.syntax import (
     Literal,
     Not,
     Or,
+    SyntaxError_,
     Var,
     X,
     Y,
@@ -46,6 +56,60 @@ class TestSexpr:
             parse_all("(a (b)")
         with pytest.raises(ParseError):
             parse_all("a))")
+
+
+def _proof_text(principal: str, sequent: str) -> str:
+    return (
+        "(proof\n  (signature (fun c 0) (fun f 1) (pred P 1))\n"
+        f"  (node (rule axiom)\n    {principal}\n    {sequent}))\n"
+    )
+
+
+# Lines count LF only; every other character, tab and CR included, is one
+# column.  Only space, tab, CR and LF separate tokens, so `\x0c` stays part
+# of one.
+_ERROR_POSITIONS = [
+    (parse_all, "; header ( comment )\n\n\t(a\tb)\r\n  ; (\n\t\t )", "5:4: unmatched ')'"),
+    (parse_all, "\n; (\n \t(a ; )\r\n\t(b)\r\n", "3:3: unclosed '('"),
+    (parse_all, "(a b\x0cc)\n(d\x0c ))", "2:6: unmatched ')'"),
+    (
+        parse_proof,
+        _proof_text("", "(sequent (left (P c))\t(right (P (f c c))))"),
+        "5:38: f expects 1 arguments, got 2",
+    ),
+    (
+        parse_proof,
+        _proof_text("", "(sequent (left (P c)) (right\r\n  (P (g c))))"),
+        "6:7: unknown function symbol 'g'",
+    ),
+    (
+        parse_proof,
+        _proof_text("", "(sequent (left (P c)) (right (Q c)))"),
+        "5:34: unknown predicate symbol 'Q'",
+    ),
+    (
+        parse_proof,
+        _proof_text("", "(sequent (left (P\x0c c)) (right (P c)))"),
+        "5:20: unknown predicate symbol 'P\x0c'",
+    ),
+    (
+        parse_proof,
+        _proof_text("(principal left (P c c))", "(sequent (left (P c)) (right (P c)))"),
+        "4:21: P expects 1 arguments, got 2",
+    ),
+    (
+        parse_proof,
+        _proof_text("(principal\tright (P (g c)))", "(sequent (left (P c)) (right (P c)))"),
+        "4:26: unknown function symbol 'g'",
+    ),
+]
+
+
+@pytest.mark.parametrize("reader, text, message", _ERROR_POSITIONS)
+def test_parse_error_positions(reader, text, message):
+    with pytest.raises(ParseError) as err:
+        reader(text)
+    assert str(err.value) == message
 
 
 class TestProblemFiles:
@@ -148,8 +212,125 @@ class TestProofFiles:
         assert complexities(again) == complexities(proof)
         assert print_proof(again, pf.problem.signature) == text
 
+    @pytest.mark.parametrize("name", ["two_step", "S_2"])
+    def test_equal_formulas_parsed_once_and_shared(self, monkeypatch, name):
+        if name == "two_step":
+            pf = two_step()
+            proof = introduce_cut(pf.problem, pf.grammar, SolverOptions(pool="gstar")).proof
+            sig = pf.problem.signature
+        else:
+            sn = generate_sn(2)
+            proof = proof_from_herbrand(sn.problem, minimal_cutfree_instances(2)[0])
+            sig = sn.problem.signature
+        text = print_proof(proof, sig)
+
+        real_parse_formula = problem_io.parse_formula
+        depth = top_level_calls = 0
+
+        def counting_parse_formula(node, sig, variables):
+            nonlocal depth, top_level_calls
+            top_level_calls += depth == 0
+            depth += 1
+            try:
+                return real_parse_formula(node, sig, variables)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(problem_io, "parse_formula", counting_parse_formula)
+        again, _sig = parse_proof(text)
+        monkeypatch.undo()
+
+        by_text: dict[str, list] = {}
+        occurrences = 0
+        for node in again.nodes():
+            found = [*node.sequent.left, *node.sequent.right, node.principal, node.cut_formula]
+            for f in found:
+                if f is not None:
+                    by_text.setdefault(formula_to_sexp(f), []).append(f)
+                    occurrences += 1
+        assert occurrences > len(by_text)
+        for same in by_text.values():
+            assert all(f is same[0] for f in same)
+        assert top_level_calls == len(by_text)
+        assert check_proof(again).ok
+        assert print_proof(again, sig) == text
+
     def test_malformed_rejected(self):
         with pytest.raises(ParseError):
             parse_proof("(proof)")
         with pytest.raises(ParseError):
             parse_proof("(proof (signature) (node (rule nonsense) (sequent (left) (right))))")
+
+
+# ---------------------------------------------------------------------------
+# Mutated inputs: every reader either returns or raises its typed error, and
+# the command line ends with a documented exit code and no traceback.
+
+_PROBLEM_TEXTS = [(PROBLEM_DIR / name).read_text(encoding="utf-8") for name in ALL_FIXTURES]
+_TWO_STEP = two_step()
+_PROOF_TEXTS = [
+    print_proof(
+        proof_from_herbrand(_TWO_STEP.problem, two_step_instances()), _TWO_STEP.problem.signature
+    ),
+    print_proof(
+        introduce_cut(_TWO_STEP.problem, _TWO_STEP.grammar, SolverOptions(pool="gstar")).proof,
+        _TWO_STEP.problem.signature,
+    ),
+]
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+
+
+@st.composite
+def _mutated(draw, texts):
+    text = draw(st.sampled_from(texts))
+    kind = draw(st.sampled_from(["delete", "insert", "swap"]))
+    if kind == "delete":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + text[at + 1 :]
+    if kind == "insert":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from("()")) + text[at:]
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    i, j = sorted(draw(st.lists(st.integers(0, len(spans) - 1), min_size=2, max_size=2, unique=True)))
+    (a, b), (c, d) = spans[i], spans[j]
+    return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+
+
+def _read_or_reject(reader, text):
+    try:
+        reader(text)
+    except (ParseError, SyntaxError_, GrammarError):
+        pass
+
+
+def _run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_mutated(_PROBLEM_TEXTS))
+def test_mutated_problem_files(fuzz_dir, text):
+    _read_or_reject(parse_problem, text)
+    _read_or_reject(parse_proof, text)
+    path = fuzz_dir / "mutated.p2"
+    path.write_text(text, encoding="utf-8")
+    _run_cli(["solve", str(path)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_mutated(_PROOF_TEXTS))
+def test_mutated_proof_files(fuzz_dir, text):
+    _read_or_reject(parse_problem, text)
+    _read_or_reject(parse_proof, text)
+    path = fuzz_dir / "mutated.proof"
+    path.write_text(text, encoding="utf-8")
+    _run_cli(["check", str(path)])
