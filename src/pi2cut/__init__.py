@@ -7,42 +7,19 @@ proof with one cut, and measures the resulting compression.
 """
 
 from .benchmark import generate_sn, minimal_cutfree_instances
-from .calculus import (
-    ComplexityTriple,
-    Node,
-    ancestry,
-    check_proof,
-    complexities,
-    is_tautology,
-    maximal_derivation,
-    non_tautological_leaves,
-)
-from .grammar import (
-    GStarSystem,
-    SchematicPi2Grammar,
-    WrappedTerm,
-    covers,
-    gstar_of,
-    reachable_literals,
-    rigid_language,
-    validate,
-)
+from .calculus import ComplexityTriple, check_proof, complexities, is_tautology
+from .grammar import SchematicPi2Grammar, WrappedTerm, covers, rigid_language
 from .herbrand import (
     ExtendedHerbrandSequent,
     HerbrandInstanceSet,
     PrenexProblem,
-    eh_build,
     herbrand_check,
-    herbrand_term_set,
     proof_from_eh,
     proof_from_herbrand,
 )
 from .solver import (
     CapExceeded,
-    CoverFailure,
     NoSolutionUnderPool,
-    PartitionedLeaf,
-    Sehs,
     SolutionReport,
     SolverOptions,
     build_sehs,
@@ -51,23 +28,37 @@ from .solver import (
     introduce_cut,
     is_balanced,
     naive_pool,
-    partitioned_dnta,
     sol_filter,
     verify_solution,
 )
-from .syntax import (
-    Atom,
-    Formula,
-    Literal,
-    Sequent,
-    Signature,
-    Term,
-    dnf_of,
-    dual,
-    free_vars,
-    literal_normal_form,
-    sharp_count,
-    substitute,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CapExceeded",
+    "ComplexityTriple",
+    "ExtendedHerbrandSequent",
+    "HerbrandInstanceSet",
+    "NoSolutionUnderPool",
+    "PrenexProblem",
+    "SchematicPi2Grammar",
+    "SolutionReport",
+    "SolverOptions",
+    "WrappedTerm",
+    "build_sehs",
+    "check_proof",
+    "cl_filter",
+    "complexities",
+    "covers",
+    "generate_sn",
+    "gstar_pool",
+    "herbrand_check",
+    "introduce_cut",
+    "is_balanced",
+    "is_tautology",
+    "minimal_cutfree_instances",
+    "naive_pool",
+    "proof_from_eh",
+    "proof_from_herbrand",
+    "rigid_language",
+    "sol_filter",
+    "verify_solution",
+]

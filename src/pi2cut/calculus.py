@@ -2,8 +2,8 @@
 
 A propositional kernel (exhaustive invertible decomposition, tautology
 decision by CNF translation plus DPLL), full proof trees with quantifier
-rules and cut, an independent rule-by-rule proof checker, occurrence
-ancestry, and the three proof-complexity measures.
+rules and cut, an independent rule-by-rule proof checker, and the three
+proof-complexity measures.
 
 Sequent sides are sets; the axiom rule closes any sequent whose sides
 share an atom, so weakening never appears explicitly.
@@ -76,16 +76,16 @@ class Node:
     cut_formula: Formula | None = None
 
     def leaves(self) -> Iterator["Node"]:
-        if not self.premises:
-            yield self
-        else:
-            for p in self.premises:
-                yield from p.leaves()
+        return (n for n in self.nodes() if not n.premises)
 
     def nodes(self) -> Iterator["Node"]:
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
+        """Every node, depth first and premises left to right, walked with
+        an explicit stack so that deep proofs do not exhaust the call stack."""
+        stack = [self]
+        while stack:
+            n = stack.pop()
+            yield n
+            stack.extend(reversed(n.premises))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,10 @@ def non_tautological_leaves(d: Node) -> frozenset[Sequent]:
     return frozenset(n.sequent for n in d.leaves() if n.rule == NON_TAUT_LEAF)
 
 
-# Tagged variant, used for checking which closing atoms of a derivation
-# descend from a designated root formula.  A sequent side becomes a mapping
+# Tagged variant: which closing atoms of a derivation descend from a
+# designated root formula.  It is the reference definition of balance;
+# `solver.is_balanced` reads the same verdict from the partitioned leaves,
+# and the tests compare the two.  A sequent side becomes a mapping
 # formula -> origin; when decomposition merges two occurrences the tag
 # "end" wins (such an occurrence has a non-cut ancestor).
 
@@ -614,62 +616,3 @@ def complexities(p: Node) -> ComplexityTriple:
         if n.rule in WEAK_RULES:
             q += 1
     return ComplexityTriple(q, logical, symbols + logical)
-
-
-# ---------------------------------------------------------------------------
-# Occurrence ancestry
-
-Origins = tuple[dict[Formula, str], dict[Formula, str]]
-
-
-def compute_origins(root: Node) -> dict[tuple[int, ...], Origins]:
-    """Tag every formula occurrence with the origin it descends from:
-    the end-sequent or a cut formula introduced below it."""
-    out: dict[tuple[int, ...], Origins] = {}
-
-    def inherit(parent: Origins, s: Sequent, extra: dict[tuple[str, Formula], str]) -> Origins:
-        nl: dict[Formula, str] = {}
-        nr: dict[Formula, str] = {}
-        for f in s.left:
-            _merge(nl, f, extra.get((LEFT, f), parent[0].get(f, ORIGIN_END)))
-        for f in s.right:
-            _merge(nr, f, extra.get((RIGHT, f), parent[1].get(f, ORIGIN_END)))
-        return nl, nr
-
-    def walk(n: Node, path: tuple[int, ...], origins: Origins) -> None:
-        out[path] = origins
-        if n.rule == CUT:
-            assert n.cut_formula is not None
-            left_extra = {(RIGHT, n.cut_formula): ORIGIN_CUT}
-            right_extra = {(LEFT, n.cut_formula): ORIGIN_CUT}
-            walk(n.premises[0], path + (0,), inherit(origins, n.premises[0].sequent, left_extra))
-            walk(n.premises[1], path + (1,), inherit(origins, n.premises[1].sequent, right_extra))
-            return
-        if n.principal is not None and n.side is not None:
-            tag = origins[0 if n.side == LEFT else 1].get(n.principal, ORIGIN_END)
-            for i, p in enumerate(n.premises):
-                ex = {}
-                for side in (LEFT, RIGHT):
-                    here = p.sequent.left if side == LEFT else p.sequent.right
-                    conc = n.sequent.left if side == LEFT else n.sequent.right
-                    for f in here:
-                        if f not in conc:
-                            ex[(side, f)] = tag
-                walk(p, path + (i,), inherit(origins, p.sequent, ex))
-            return
-        for i, p in enumerate(n.premises):
-            walk(p, path + (i,), inherit(origins, p.sequent, {}))
-
-    walk(root, (), ({f: ORIGIN_END for f in root.sequent.left},
-                    {f: ORIGIN_END for f in root.sequent.right}))
-    return out
-
-
-def ancestry(root: Node, path: tuple[int, ...], side: str, f: Formula) -> str:
-    origins = compute_origins(root)
-    if path not in origins:
-        raise SyntaxError_(f"no node at path {path}")
-    table = origins[path][0 if side == LEFT else 1]
-    if f not in table:
-        raise SyntaxError_(f"no occurrence of {formula_to_sexp(f)} at {path} ({side})")
-    return table[f]

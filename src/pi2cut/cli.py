@@ -50,16 +50,18 @@ def _read(path: str) -> str:
 
 
 def _stats_rows(stats: SearchStats) -> list[tuple[str, str]]:
-    rows = [("pool", stats.pool), ("pool-size", str(stats.pool_size))]
-    if stats.unifiable is not None:
-        rows.append(("unifiable", str(stats.unifiable).lower()))
-    rows += [
-        ("candidates", str(stats.candidates)),
-        ("cl-passed", str(stats.cl_passed)),
-        ("sol-passed", str(stats.sol_passed)),
-        ("caps-hit", str(stats.caps_hit).lower()),
+    """The search counters, leaving out those of stages never reached."""
+    counters = [
+        ("pool-size", stats.pool_size),
+        ("unifiable", stats.unifiable),
+        ("candidates", stats.candidates),
+        ("cl-passed", stats.cl_passed),
+        ("sol-passed", stats.sol_passed),
+        ("caps-hit", stats.caps_hit),
     ]
-    return rows
+    return [("pool", stats.pool)] + [
+        (key, str(value).lower()) for key, value in counters if value is not None
+    ]
 
 
 def _report_lines(report: SolutionReport) -> list[tuple[str, str]]:

@@ -191,11 +191,6 @@ class ExtendedHerbrandSequent:
         return sharp_count(g.f_tuples) + sharp_count(g.g_tuples) + g.p + g.m
 
 
-def eh_build(eh: ExtendedHerbrandSequent) -> tuple[Sequent, bool, int]:
-    s = eh.sequent()
-    return s, is_tautology(s), eh.complexity()
-
-
 # ---------------------------------------------------------------------------
 # Quantifier-inference chains
 

@@ -18,14 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .calculus import (
-    ORIGIN_CUT,
-    ORIGIN_END,
-    is_tautology,
-    maximal_derivation,
-    non_tautological_leaves,
-    tagged_leaves,
-)
+from .calculus import is_tautology, maximal_derivation, non_tautological_leaves
+# Unused here; stays importable because perfbench/tracer.py wraps solver.tagged_leaves.
+from .calculus import tagged_leaves  # noqa: F401
 from .grammar import (
     GrammarError,
     SchematicPi2Grammar,
@@ -55,8 +50,6 @@ from .syntax import (
     beta,
     clause_key,
     clause_set_key,
-    conj,
-    disj,
     dnf_of,
     dual_set,
     free_vars,
@@ -88,12 +81,14 @@ class VerificationFailure(SolverError):
 
 @dataclass
 class SearchStats:
+    """Search counters; a counter stays None when its stage was never reached."""
+
     pool: str = ""
-    pool_size: int = 0
+    pool_size: int | None = None
     unifiable: bool | None = None
-    candidates: int = 0
-    cl_passed: int = 0
-    sol_passed: int = 0
+    candidates: int | None = None
+    cl_passed: int | None = None
+    sol_passed: int | None = None
     caps_hit: bool = False
 
 
@@ -137,6 +132,12 @@ class Sehs:
     def leaves(self) -> tuple[PartitionedLeaf, ...]:
         """The partitioned leaves in canonical order, computed once."""
         return tuple(sorted(partitioned_dnta(self), key=PartitionedLeaf.key))
+
+    @cached_property
+    def ctx(self) -> _Ctx:
+        """The closure tests over `leaves`, shared by the filters, the
+        search and the balance test."""
+        return _Ctx(self)
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,6 @@ def _count_sites(f: Atom, x_img: Term, y_img: Term) -> int:
 
 class _Ctx:
     def __init__(self, sehs: Sehs):
-        self.sehs = sehs
         self.leaves = sehs.leaves
         g = sehs.grammar
         self.m = g.m
@@ -289,6 +289,22 @@ class _Ctx:
         self._atom_ids: dict[Atom, int] = {}
         self._cl_pick: dict[tuple[Clause, int], tuple[int, frozenset[int]]] = {}
         self._sol_picks: dict[Clause, list[tuple[int, frozenset[int]]]] = {}
+
+    @cached_property
+    def _holders(self) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for idx, leaf in enumerate(self.leaves):
+            for lit in leaf.literals():
+                n = self.lit_id(lit)
+                out[n] = out.get(n, 0) | 1 << idx
+        return out
+
+    def holding(self, ids: Iterable[int]) -> int:
+        """The mask of the leaves that hold one of the literals with these ids."""
+        mask = 0
+        for n in ids:
+            mask |= self._holders.get(n, 0)
+        return mask
 
     def alpha_t(self, lit: Literal, i: int) -> Literal:
         key = (lit, i)
@@ -356,20 +372,18 @@ class _Ctx:
         return hit
 
 
-def _open_vector(
+def _open_vectors(
     picks: Iterable[Sequence[tuple[int, frozenset[int]]]], all_leaves: int
-) -> bool:
-    """Is there a pick vector whose masks leave a leaf open and whose
-    instances hold no complementary pair?"""
+) -> Iterator[bool]:
+    """For each pick vector whose masks leave a leaf open: do its
+    instances hold a complementary pair?"""
     for vec in itertools.product(*picks):
         covered = 0
         for mask, _ in vec:
             covered |= mask
         if covered != all_leaves:
             ids = frozenset().union(*(ids for _, ids in vec))
-            if not any(-n in ids for n in ids):
-                return True
-    return False
+            yield any(-n in ids for n in ids)
 
 
 def _passes_cl(cand: Sequence[Clause], ctx: _Ctx) -> bool:
@@ -377,9 +391,12 @@ def _passes_cl(cand: Sequence[Clause], ctx: _Ctx) -> bool:
     a neutral dual (T1), a dual into the leaf's b-part (T2), or two picks
     that cancel each other (T3).  The leaf masks hold T1 and T2;
     interaction is consulted only for vectors whose masks leave a leaf open."""
-    return not _open_vector(
-        ([ctx.cl_pick(c, j) for c in cand] for j in range(ctx.m)), ctx.all_leaves
-    )
+    return all(_open_vectors(_cl_picks(cand, ctx), ctx.all_leaves))
+
+
+def _cl_picks(cand: Sequence[Clause], ctx: _Ctx) -> Iterator[list[tuple[int, frozenset[int]]]]:
+    """Per universal witness, the picks of each of the candidate's clauses."""
+    return ([ctx.cl_pick(c, j) for c in cand] for j in range(ctx.m))
 
 
 def _passes_sol(cand: Sequence[Clause], ctx: _Ctx) -> bool:
@@ -388,14 +405,14 @@ def _passes_sol(cand: Sequence[Clause], ctx: _Ctx) -> bool:
     alpha preimages (T2'), or two picks that cancel (T3').  The leaf masks
     hold T1' and T2'; interaction is consulted only for vectors whose masks
     leave a leaf open."""
-    return not _open_vector((ctx.sol_picks(c) for c in cand), ctx.all_leaves)
+    return all(_open_vectors((ctx.sol_picks(c) for c in cand), ctx.all_leaves))
 
 
 def cl_filter(
     starting: Iterable[Clause], sehs: Sehs, max_clauses: int | None = None
 ) -> frozenset[ClauseSet]:
     """Subsets of the starting set that survive the universal-side filter."""
-    ctx = _Ctx(sehs)
+    ctx = sehs.ctx
     clauses = set(starting)
     limit = len(clauses) if max_clauses is None else max_clauses
     return frozenset(
@@ -406,7 +423,7 @@ def cl_filter(
 def sol_filter(candidates: Iterable[ClauseSet], sehs: Sehs) -> frozenset[ClauseSet]:
     """Members of the universal-side filter that also survive the
     existential-side filter."""
-    ctx = _Ctx(sehs)
+    ctx = sehs.ctx
     out = []
     for cs in sorted(candidates, key=clause_set_key):
         if _passes_sol(sorted(cs, key=clause_key), ctx):
@@ -489,24 +506,30 @@ def is_balanced(sehs: Sehs, clauses: ClauseSet) -> bool:
     """A solution is balanced when every axiom of a maximal derivation of
     the solved sequent closes on at least one atom pair with a member not
     descending from the cut material.  A leaf whose sides share no atom
-    shows that the clause set is not a solution: `NotASolution`."""
-    eh = ExtendedHerbrandSequent(sehs.problem, sehs.grammar, dnf_of(clauses))
-    bridge = Imp(disj(eh.alpha_instances()), conj(eh.beta_instances()))
-    left: dict[Formula, str] = {f: ORIGIN_END for f in eh.f_instances()}
-    # An end formula of the same shape as the bridge keeps its end tag.
-    left.setdefault(bridge, ORIGIN_CUT)
-    right: dict[Formula, str] = {f: ORIGIN_END for f in eh.g_instances()}
+    shows that the clause set is not a solution: `NotASolution`.
+
+    The solved sequent is ``F, (OR alpha_i -> AND beta_j) |- G``.  Each of
+    its leaves is a leaf of the reduced representation plus one branch of
+    the bridge: a cl vector (one clause per universal witness, its
+    instance on the left) or a sol vector (one pick of p literals per
+    clause, their alpha instances on the right).  Tautological leaves of
+    the reduced representation close on an end pair, so only the
+    partitioned leaves count.  A leaf closes on an end pair when a picked
+    instance meets one of its literals (the cl masks, and `holding` for
+    the sol picks); otherwise it closes only on two picks that cancel."""
+    # Malformed clause sets raise as they do when the sequent is built.
+    ExtendedHerbrandSequent(sehs.problem, sehs.grammar, dnf_of(clauses))
+    ctx = sehs.ctx
+    cand = sorted(clauses, key=clause_key)
+    sol = ([(ctx.holding(ids), ids) for _, ids in ctx.sol_picks(c)] for c in cand)
     balanced = True
-    for l_tags, r_tags in tagged_leaves(left, right):
-        shared = [
-            f for f in l_tags if isinstance(f, Atom) and f in r_tags
-        ]
-        if not shared:
+    for cancels in itertools.chain(
+        _open_vectors(_cl_picks(cand, ctx), ctx.all_leaves),
+        _open_vectors(sol, ctx.all_leaves),
+    ):
+        if not cancels:
             raise NotASolution("balance is defined for solutions only")
-        if not any(
-            l_tags[a] == ORIGIN_END or r_tags[a] == ORIGIN_END for a in shared
-        ):
-            balanced = False
+        balanced = False
     return balanced
 
 
@@ -604,9 +627,10 @@ def introduce_cut(
     from .calculus import complexities
 
     sehs, _ = build_sehs(pb, g, term_set)
-    ctx = _Ctx(sehs)
+    ctx = sehs.ctx
     stats = SearchStats()
     clauses = _starting_clauses(sehs, options, stats)
+    stats.candidates = stats.cl_passed = stats.sol_passed = 0
     found: list[ClauseSet] = []
     for cand in _clause_sets(clauses, options.max_clauses):
         if stats.candidates >= options.max_candidates:

@@ -330,9 +330,6 @@ class Sequent:
     def of(left: Iterable[Formula], right: Iterable[Formula]) -> Sequent:
         return Sequent(frozenset(left), frozenset(right))
 
-    def is_atomic(self) -> bool:
-        return all(isinstance(f, Atom) for f in self.left | self.right)
-
     def shares_atom(self) -> bool:
         return any(isinstance(f, Atom) for f in self.left & self.right)
 

@@ -19,7 +19,6 @@ from pi2cut.calculus import (
 from pi2cut.grammar import WrappedTerm, rigid_language
 from pi2cut.herbrand import (
     ExtendedHerbrandSequent,
-    eh_build,
     herbrand_check,
     herbrand_term_set,
     proof_from_eh,
@@ -47,8 +46,7 @@ def test_criterion_01_worked_instance():
     start = time.perf_counter()
     pf = two_step()
     eh = ExtendedHerbrandSequent(pf.problem, pf.grammar, Atom("P", (x, y)))
-    _, taut, complexity = eh_build(eh)
-    assert taut and complexity == 7
+    assert is_tautology(eh.sequent()) and eh.complexity() == 7
     inst = two_step_instances()
     valid, count = herbrand_check(pf.problem, inst)
     assert valid and count == 9

@@ -77,6 +77,11 @@ class TestSolve:
         assert main(["solve", str(problem), "--pool", "naive", "--json"]) == 1
         data = json.loads(capsys.readouterr().out)
         assert (data["status"], data["pool"], data["caps-hit"]) == ("cap-exceeded", "naive", "true")
+        # The pool was never finished, so no later counter was measured.
+        assert list(data) == ["status", "pool", "caps-hit"]
+        assert main(["solve", str(problem), "--pool", "naive"]) == 1
+        keys = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == ["status", "pool", "caps-hit"]
 
     def test_starting_set_file(self, tmp_path, capsys):
         pool_file = tmp_path / "start.txt"

@@ -10,7 +10,6 @@ from pi2cut.herbrand import (
     HerbrandInstanceSet,
     NotTautological,
     PrenexProblem,
-    eh_build,
     herbrand_check,
     herbrand_term_set,
     midsequent,
@@ -76,9 +75,8 @@ class TestEhBuild:
     def test_two_step_matrix_tautology(self):
         pf = two_step()
         eh = ExtendedHerbrandSequent(pf.problem, pf.grammar, P(Var(X), Var(Y)))
-        _, taut, complexity = eh_build(eh)
-        assert taut
-        assert complexity == 7  # 1*1 + 2*1 + 2 + 2
+        assert is_tautology(eh.sequent())
+        assert eh.complexity() == 7  # 1*1 + 2*1 + 2 + 2
 
     def test_unmatched_matrix_fails(self):
         pf = two_step()
@@ -95,15 +93,13 @@ class TestEhBuild:
             bigger, pf.grammar.f_tuples, pf.grammar.g_tuples, pf.grammar.r_terms, pf.grammar.t_terms
         )
         eh = ExtendedHerbrandSequent(pb, g, Atom("W", (Var(X), Var(Y))))
-        _, taut, _ = eh_build(eh)
-        assert not taut
+        assert not is_tautology(eh.sequent())
 
     def test_benchmark_matrix(self):
         sn = generate_sn(2)
         matrix = P(Var(X), App("f", (Var(Y),)))
         eh = ExtendedHerbrandSequent(sn.problem, sn.grammar, matrix)
-        _, taut, _ = eh_build(eh)
-        assert taut
+        assert is_tautology(eh.sequent())
 
     def test_variable_conditions_enforced(self):
         from pi2cut.syntax import SyntaxError_
@@ -172,8 +168,7 @@ class TestProofFromEh:
         eh = ExtendedHerbrandSequent(
             pf.problem, pf.grammar, P(Var(X), App("t1", (Var(X),)))
         )
-        _, taut, _ = eh_build(eh)
-        assert not taut
+        assert not is_tautology(eh.sequent())
         with pytest.raises(NotTautological):
             proof_from_eh(eh)
 

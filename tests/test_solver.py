@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -14,8 +15,9 @@ from fixtures import (
     x,
     y,
 )
+from pi2cut.calculus import ORIGIN_CUT, ORIGIN_END, tagged_leaves
 from pi2cut.grammar import WrappedTerm
-from pi2cut.herbrand import herbrand_term_set
+from pi2cut.herbrand import ExtendedHerbrandSequent, herbrand_term_set
 from pi2cut.solver import (
     CoverFailure,
     NoSolutionUnderPool,
@@ -40,9 +42,13 @@ from pi2cut.syntax import (
     ALPHA,
     App,
     Atom,
+    Imp,
     Var,
     clause_key,
+    conj,
     const,
+    disj,
+    dnf_of,
     free_vars,
     sequent_to_sexp,
 )
@@ -376,6 +382,32 @@ class TestClauseSets:
         assert first == list(itertools.combinations(units, 3))
 
 
+def walk_verdict(sehs, clauses):
+    """Balance by its definition: walk every leaf of the solved sequent with
+    the bridge tagged cut.  None when a leaf stays open (not a solution)."""
+    eh = ExtendedHerbrandSequent(sehs.problem, sehs.grammar, dnf_of(clauses))
+    bridge = Imp(disj(eh.alpha_instances()), conj(eh.beta_instances()))
+    left = dict.fromkeys(eh.f_instances(), ORIGIN_END)
+    # An end formula of the same shape as the bridge keeps its end tag.
+    left.setdefault(bridge, ORIGIN_CUT)
+    right = dict.fromkeys(eh.g_instances(), ORIGIN_END)
+    verdict = True
+    for l_tags, r_tags in tagged_leaves(left, right):
+        shared = [a for a in l_tags if isinstance(a, Atom) and a in r_tags]
+        if not shared:
+            return None
+        if all(l_tags[a] == r_tags[a] == ORIGIN_CUT for a in shared):
+            verdict = False
+    return verdict
+
+
+def balance_verdict(sehs, clauses):
+    try:
+        return is_balanced(sehs, clauses)
+    except NotASolution:
+        return None
+
+
 class TestVerifyAndBalance:
     def test_two_step_verify(self):
         pf = two_step()
@@ -405,6 +437,30 @@ class TestVerifyAndBalance:
             leaves = [(n.sequent.left, n.sequent.right) for n in maximal_derivation(s).leaves()]
             assert len(leaves) > 1
             assert tagged == leaves
+
+    def test_balance_agrees_with_the_tagged_walk(self):
+        from pi2cut.benchmark import generate_sn
+
+        counts = Counter()
+        for loader in (two_step, swap_pair, unbalanced_pair, shared_base, two_bases):
+            pf = loader()
+            sehs, _ = build_sehs(pf.problem, pf.grammar)
+            clauses = clauses_from_pool(naive_pool(sehs), max_clause_size=2)
+            sets = [frozenset(c) for k in (1, 2) for c in itertools.combinations(clauses, k)]
+            verdicts = [balance_verdict(sehs, cs) for cs in sets]
+            counts.update(verdicts)
+            # Every solution and every tenth non-solution against the walk.
+            for i, (cs, verdict) in enumerate(zip(sets, verdicts)):
+                if verdict is not None or i % 10 == 0:
+                    assert verdict == walk_verdict(sehs, cs), cs
+                    assert verify_solution(sehs, cs) == (verdict is not None), cs
+        # All 165 sets that verify, of the 2,218 sets here, are solutions.
+        assert (counts[True], counts[False], counts[None]) == (147, 18, 2053)
+        for n in (2, 3, 4):
+            sn = generate_sn(n)
+            report = introduce_cut(sn.problem, sn.grammar)
+            sehs, _ = build_sehs(sn.problem, sn.grammar)
+            assert report.balanced and walk_verdict(sehs, report.solutions[0])
 
     def test_benchmark_balanced(self):
         from pi2cut.benchmark import generate_sn
@@ -514,6 +570,29 @@ class TestIntroduceCut:
             calls.clear()
             introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
             assert len(calls) == 1
+
+    def test_one_context_per_solve(self, monkeypatch):
+        import pi2cut.solver as solver
+        from pi2cut.benchmark import generate_sn
+
+        built = []
+
+        class Counted(solver._Ctx):
+            def __init__(self, sehs):
+                built.append(sehs)
+                super().__init__(sehs)
+
+        monkeypatch.setattr(solver, "_Ctx", Counted)
+        for pf, pool in ((generate_sn(3), "gstar"), (unbalanced_pair(), "naive")):
+            built.clear()
+            introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
+            assert len(built) == 1
+        pf = swap_pair()
+        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        built.clear()
+        survivors = sol_filter(cl_filter(clauses_from_pool(naive_pool(sehs), 2), sehs, 2), sehs)
+        assert survivors and all(is_balanced(sehs, cs) for cs in survivors)
+        assert len(built) == 1
 
     def test_cap_exceeded(self):
         from pi2cut.solver import CapExceeded
