@@ -151,16 +151,20 @@ def _expand(s: Sequent, stop_at_axiom: bool, policy: Policy | None) -> Node:
     return Node(rule, s, subs, principal=f, side=side)
 
 
-def maximal_derivation(s: Sequent, policy: Policy | None = None) -> Node:
-    """Exhaustively apply the invertible propositional rules.
+def maximal_derivation(s: Sequent) -> Node:
+    """Exhaustively apply the invertible propositional rules, always
+    decomposing the canonically least compound formula first.
 
-    The default policy decomposes the canonically least compound formula
-    first; the leaf set does not depend on the policy.
+    That order is part of the definition of `Sehs.leaves`: sides are sets,
+    so a formula that an earlier branching rule already split can merge
+    with a copy of itself, and another order can leave a different
+    non-tautological leaf set (each extra leaf a superset of a canonical
+    one).
     """
     for f in s.left | s.right:
         if not is_quantifier_free(f):
             raise SyntaxError_(f"quantifier in {formula_to_sexp(f)}")
-    return _expand(s, stop_at_axiom=False, policy=policy)
+    return _expand(s, stop_at_axiom=False, policy=None)
 
 
 def _greedy_pick(s: Sequent, cands: Sequence[tuple[str, Formula]]) -> int:

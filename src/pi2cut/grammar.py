@@ -9,18 +9,20 @@ rigid: one production per variable.
 
 The module also builds the unrestricted rewrite system used to search for
 candidate cut literals: grammar terms rewrite down to the two designated
-variables ``x`` and ``y``.
+variables ``x`` and ``y``.  Its one generaliser, `reachable_literals`,
+serves both starting-set pools.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .syntax import (
     ALPHA,
     App,
+    Atom,
     Literal,
     Signature,
     Term,
@@ -179,80 +181,56 @@ def covers(g: SchematicPi2Grammar, terms: Iterable[WrappedTerm]) -> bool:
 @dataclass(frozen=True)
 class GStarSystem:
     """Unrestricted rewriting of grammar terms into the candidate-literal
-    variables: alpha and the universal witnesses rewrite to x, the
-    existential witness instances and the b-variables rewrite to y.  The
-    start productions are retained but never apply inside a literal."""
+    variables: each term of `to_x` rewrites to x and each term of `to_y`
+    to y.  For a grammar, alpha and the universal witnesses go to x, the
+    existential witness instances and the b-variables to y."""
 
-    start_productions: tuple[WrappedTerm, ...]
     to_x: tuple[Term, ...]
     to_y: tuple[Term, ...]
 
-    def rules(self) -> tuple[tuple[Term, Term], ...]:
-        xs = tuple((lhs, Var(X)) for lhs in self.to_x)
-        ys = tuple((lhs, Var(Y)) for lhs in self.to_y)
-        return xs + ys
-
 
 def gstar_of(g: SchematicPi2Grammar) -> GStarSystem:
-    starts = tuple(WrappedTerm("F", t) for t in g.f_tuples) + tuple(
-        WrappedTerm("G", t) for t in g.g_tuples
-    )
     to_x = [Var(ALPHA)] + list(g.r_terms)
     to_y = list(g.t_terms) + [Var(b) for b in g.beta_vars()]
     uniq_x = sorted({term_key(t): t for t in to_x}.values(), key=term_key)
     uniq_y = sorted({term_key(t): t for t in to_y}.values(), key=term_key)
-    return GStarSystem(starts, tuple(uniq_x), tuple(uniq_y))
-
-
-def _non_xy_symbols(t: Term) -> int:
-    if isinstance(t, Var):
-        return 0 if t.name in (X, Y) else 1
-    assert isinstance(t, App)
-    return 1 + sum(_non_xy_symbols(a) for a in t.args)
-
-
-def _rewrites(t: Term, rules: tuple[tuple[Term, Term], ...]) -> Iterator[Term]:
-    for lhs, rhs in rules:
-        if t == lhs:
-            yield rhs
-    if isinstance(t, App):
-        for i, a in enumerate(t.args):
-            for b in _rewrites(a, rules):
-                yield App(t.fn, t.args[:i] + (b,) + t.args[i + 1 :])
+    return GStarSystem(tuple(uniq_x), tuple(uniq_y))
 
 
 def reachable_literals(lit: Literal, sys: GStarSystem) -> frozenset[Literal]:
-    """All literals reachable by rewriting subterm occurrences, restricted
-    to those whose variables lie in {x, y}.
+    """All literals over {x, y} reachable by rewriting subterm occurrences.
 
-    Every rule replaces a subterm without x or y by a bare x or y, so the
-    count of non-{x,y} symbol occurrences strictly decreases and the
-    closure is finite.
+    A rewrite leaves a bare x or y, which no image contains, so rewrites
+    never nest and the reachable terms are chosen position by position:
+    x where the subterm is an x-image, y where it is a y-image, or the
+    head kept and the arguments generalised in turn (Plotkin's
+    generalisation, lifted to sets of images).  Other variables have no
+    option, so only literals over {x, y} come out.
     """
-    rules = sys.rules()
-    seen_atoms = {lit.atom}
-    frontier = [lit.atom]
-    while frontier:
-        atom = frontier.pop()
-        before = sum(_non_xy_symbols(a) for a in atom.args)
-        for i, a in enumerate(atom.args):
-            for b in _rewrites(a, rules):
-                new = type(atom)(atom.pred, atom.args[:i] + (b,) + atom.args[i + 1 :])
-                after = sum(_non_xy_symbols(x) for x in new.args)
-                assert after < before, "rewrite step failed to shrink the term"
-                if new not in seen_atoms:
-                    seen_atoms.add(new)
-                    frontier.append(new)
-    out = frozenset(
-        Literal(lit.positive, a)
-        for a in seen_atoms
-        if free_vars(a) <= {X, Y}
+
+    def options(t: Term) -> list[Term]:
+        opts: list[Term] = []
+        if t in sys.to_x:
+            opts.append(Var(X))
+        if t in sys.to_y:
+            opts.append(Var(Y))
+        if isinstance(t, App):
+            opts.extend(App(t.fn, args) for args in itertools.product(*map(options, t.args)))
+        elif t.name in (X, Y):
+            opts.append(t)
+        return opts
+
+    atom = lit.atom
+    return frozenset(
+        Literal(lit.positive, Atom(atom.pred, args))
+        for args in itertools.product(*map(options, atom.args))
     )
-    return out
 
 
 def unifiable_pair(l: Literal, q: Literal, sys: GStarSystem) -> frozenset[Literal]:
-    """Common literals reachable from `l` and from the dual of `q`."""
+    """Common literals reachable from `l` and from the dual of `q`: the
+    reference definition of the gstar pool, which is the union of these
+    sets over its leaf literal pairs."""
     left = reachable_literals(l, sys)
     right = frozenset(dual(r) for r in reachable_literals(q, sys))
     return left & right

@@ -23,17 +23,21 @@ from .calculus import is_tautology, maximal_derivation, non_tautological_leaves
 from .calculus import tagged_leaves  # noqa: F401
 from .grammar import (
     GrammarError,
+    GStarSystem,
     SchematicPi2Grammar,
     WrappedTerm,
     covers,
     gstar_of,
-    unifiable_pair,
+    reachable_literals,
     validate,
 )
+# Unused here; stays importable because perfbench/tracer.py wraps solver.unifiable_pair.
+from .grammar import unifiable_pair  # noqa: F401
 from .herbrand import ExtendedHerbrandSequent, PrenexProblem, instantiate, proof_from_eh
 from .syntax import (
     ALPHA,
     And,
+    App,
     Atom,
     Clause,
     ClauseSet,
@@ -43,7 +47,6 @@ from .syntax import (
     Not,
     Or,
     Sequent,
-    Term,
     Var,
     X,
     Y,
@@ -222,54 +225,6 @@ def partitioned_dnta(sehs: Sehs) -> frozenset[PartitionedLeaf]:
 
 
 # ---------------------------------------------------------------------------
-# Anti-substitution
-
-_ANTI_SITE_CAP = 16
-
-
-def anti_instances(target: Literal, x_img: Term, y_img: Term) -> frozenset[Literal]:
-    """All literals over {x, y} that instantiate to `target` when x maps
-    to `x_img` and y to `y_img`; every occurrence of an image subterm may
-    independently be generalised or kept."""
-    sites = _count_sites(target.atom, x_img, y_img)
-    if sites > _ANTI_SITE_CAP:
-        stats = SearchStats(pool="naive", caps_hit=True)
-        raise CapExceeded(stats, f"too many generalisation sites ({sites})")
-
-    def gen_term(t: Term) -> list[Term]:
-        opts: list[Term] = []
-        if t == x_img:
-            opts.append(Var(X))
-        if t == y_img:
-            opts.append(Var(Y))
-        if isinstance(t, Var):
-            opts.append(t)
-        else:
-            assert hasattr(t, "args")
-            for combo in itertools.product(*(gen_term(a) for a in t.args)):
-                opts.append(type(t)(t.fn, tuple(combo)))  # type: ignore[union-attr]
-        return opts
-
-    sub = {X: x_img, Y: y_img}
-    out = set()
-    for combo in itertools.product(*(gen_term(a) for a in target.atom.args)):
-        lit = Literal(target.positive, Atom(target.atom.pred, tuple(combo)))
-        if free_vars(lit.atom) <= {X, Y} and substitute_literal(lit, sub) == target:
-            out.add(lit)
-    return frozenset(out)
-
-
-def _count_sites(f: Atom, x_img: Term, y_img: Term) -> int:
-    def walk(t: Term) -> int:
-        hits = int(t == x_img) + int(t == y_img)
-        if hasattr(t, "args"):
-            hits += sum(walk(a) for a in t.args)  # type: ignore[union-attr]
-        return hits
-
-    return sum(walk(a) for a in f.args)
-
-
-# ---------------------------------------------------------------------------
 # Closure filters
 
 
@@ -435,39 +390,69 @@ def sol_filter(candidates: Iterable[ClauseSet], sehs: Sehs) -> frozenset[ClauseS
 # Starting-set pools
 
 
+_SITE_CAP = 16
+
+
+def _generalise(lit: Literal, sys: GStarSystem, pool: str) -> frozenset[Literal]:
+    """`reachable_literals`, capped: a literal with more than `_SITE_CAP`
+    subterm occurrences that are images (each counted once per image) ends
+    the search for the named pool."""
+    sites = 0
+    todo = list(lit.atom.args)
+    while todo:
+        t = todo.pop()
+        sites += (t in sys.to_x) + (t in sys.to_y)
+        if isinstance(t, App):
+            todo.extend(t.args)
+    if sites > _SITE_CAP:
+        stats = SearchStats(pool=pool, caps_hit=True)
+        raise CapExceeded(stats, f"too many generalisation sites ({sites})")
+    return reachable_literals(lit, sys)
+
+
+def _leaf_literals(sehs: Sehs) -> tuple[set[Literal], frozenset[Literal]]:
+    """The distinct literals of the leaves' A and N sides, and the distinct
+    duals of the literals of their B and N sides."""
+    leaves = sehs.leaves
+    # Set unions reuse the members' stored hashes; a comprehension would
+    # hash every literal of every leaf again.
+    lefts = set().union(*(l.a_part for l in leaves), *(l.n_part for l in leaves))
+    rights = set().union(*(l.b_part for l in leaves), *(l.n_part for l in leaves))
+    return lefts, dual_set(rights)
+
+
 def naive_pool(sehs: Sehs) -> frozenset[Literal]:
     """All literals over {x, y} that instantiate into some leaf under a
     witness: into A or N via an existential term, or dually into B or N
     via a universal term and its eigenvariable."""
     g = sehs.grammar
+    lefts, rights = _leaf_literals(sehs)
     out: set[Literal] = set()
-    for leaf in sehs.leaves:
-        for lit in leaf.a_part | leaf.n_part:
-            for t in g.t_terms:
-                out |= anti_instances(lit, Var(ALPHA), t)
-        targets = dual_set(leaf.b_part) | dual_set(leaf.n_part)
-        for lit in targets:
-            for j, r in enumerate(g.r_terms, 1):
-                out |= anti_instances(lit, r, Var(beta(j)))
+    for lit in lefts:
+        for t in g.t_terms:
+            out |= _generalise(lit, GStarSystem((Var(ALPHA),), (t,)), "naive")
+    for lit in rights:
+        for j, r in enumerate(g.r_terms, 1):
+            out |= _generalise(lit, GStarSystem((r,), (Var(beta(j)),)), "naive")
     return frozenset(out)
 
 
 def gstar_pool(sehs: Sehs) -> tuple[frozenset[Literal], bool]:
-    """Literal pool from rewriting leaf literals into {x, y}: a literal of
-    one leaf's A or N side unifies with the dual of another leaf's B or N
-    side.  Also reports whether every leaf has such a partner."""
+    """Literal pool from rewriting leaf literals into {x, y}: everything
+    reachable both from a literal of some leaf's A or N side and from the
+    dual of one of some leaf's B or N side.  By distributivity this is the
+    union of the `unifiable_pair` sets of all such pairs.  Also reports
+    whether every leaf has a literal of its A or N side with a partner."""
     sys = gstar_of(sehs.grammar)
-    lefts = {l for leaf in sehs.leaves for l in leaf.a_part | leaf.n_part}
-    rights = {q for leaf in sehs.leaves for q in leaf.b_part | leaf.n_part}
-    # Per distinct left literal, everything it unifies into over all rights.
-    common = {
-        l: frozenset().union(*(unifiable_pair(l, q, sys) for q in rights))
-        for l in lefts
-    }
+    lefts, rights = _leaf_literals(sehs)
+    reach = {l: _generalise(l, sys, "gstar") for l in lefts | rights}
+    right_reach = frozenset().union(*(reach[q] for q in rights))
+    partnered = frozenset(l for l in lefts if not reach[l].isdisjoint(right_reach))
     unifiable = all(
-        any(common[l] for l in leaf.a_part | leaf.n_part) for leaf in sehs.leaves
+        not partnered.isdisjoint(leaf.a_part) or not partnered.isdisjoint(leaf.n_part)
+        for leaf in sehs.leaves
     )
-    return frozenset().union(*common.values()), unifiable
+    return frozenset().union(*(reach[l] for l in lefts)) & right_reach, unifiable
 
 
 def clauses_from_pool(pool: Iterable[Literal], max_clause_size: int) -> list[Clause]:

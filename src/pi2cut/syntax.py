@@ -381,12 +381,6 @@ def literal_to_sexp(lit: Literal) -> str:
     return formula_to_sexp(lit.formula())
 
 
-def sequent_to_sexp(s: Sequent) -> str:
-    left = " ".join(sorted(formula_to_sexp(f) for f in s.left))
-    right = " ".join(sorted(formula_to_sexp(f) for f in s.right))
-    return f"(sequent (left {left}) (right {right}))" if left or right else "(sequent (left) (right))"
-
-
 def term_key(t: Term) -> str:
     return term_to_sexp(t)
 

@@ -83,19 +83,6 @@ class TestMaximalDerivation:
         with pytest.raises(SyntaxError_):
             maximal_derivation(Sequent.of([ForAll("v", P(Var("v")))], []))
 
-    def test_leaf_set_policy_independent(self):
-        rng = random.Random(7)
-        s = Sequent.of(
-            [Or(And(P(a), Q(a)), Not(P(a))), Imp(Q(a), P(const("b")))],
-            [Or(Q(const("b")), Not(Q(a)))],
-        )
-        reference = non_tautological_leaves(maximal_derivation(s))
-        for _ in range(20):
-            shuffled = non_tautological_leaves(
-                maximal_derivation(s, policy=lambda _s, cands: rng.randrange(len(cands)))
-            )
-            assert shuffled == reference
-
 
 class TestIsTautology:
     def test_modus_ponens_shape(self):

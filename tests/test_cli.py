@@ -65,7 +65,7 @@ class TestSolve:
 
     def test_generalisation_site_cap(self, tmp_path, capsys):
         # 17 occurrences of alpha in one leaf literal: more generalisation
-        # sites than the naive pool explores, a search limit on valid input.
+        # sites than either pool explores, a search limit on valid input.
         args = " ".join(["x1"] * 17)
         problem = tmp_path / "wide.p2"
         problem.write_text(
@@ -74,14 +74,15 @@ class TestSolve:
             f"(antecedent (P {args}))\n(succedent (P {args.replace('x1', 'y1')}))\n"
             "(grammar (f-tuples (alpha)) (g-tuples (b1)) (r-terms r) (t-terms (t1 alpha)))\n"
         )
-        assert main(["solve", str(problem), "--pool", "naive", "--json"]) == 1
-        data = json.loads(capsys.readouterr().out)
-        assert (data["status"], data["pool"], data["caps-hit"]) == ("cap-exceeded", "naive", "true")
-        # The pool was never finished, so no later counter was measured.
-        assert list(data) == ["status", "pool", "caps-hit"]
-        assert main(["solve", str(problem), "--pool", "naive"]) == 1
-        keys = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-        assert keys == ["status", "pool", "caps-hit"]
+        for pool in ("naive", "gstar"):
+            assert main(["solve", str(problem), "--pool", pool, "--json"]) == 1
+            data = json.loads(capsys.readouterr().out)
+            assert (data["status"], data["pool"], data["caps-hit"]) == ("cap-exceeded", pool, "true")
+            # The pool was never finished, so no later counter was measured.
+            assert list(data) == ["status", "pool", "caps-hit"]
+            assert main(["solve", str(problem), "--pool", pool]) == 1
+            keys = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+            assert keys == ["status", "pool", "caps-hit"]
 
     def test_starting_set_file(self, tmp_path, capsys):
         pool_file = tmp_path / "start.txt"

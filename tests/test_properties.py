@@ -7,6 +7,7 @@ import random
 
 from gen import random_sehs, random_starting_set
 from pi2cut.calculus import check_proof, complexities, is_tautology
+from pi2cut.grammar import GStarSystem, gstar_of, reachable_literals, unifiable_pair
 from pi2cut.herbrand import (
     ExtendedHerbrandSequent,
     HerbrandInstanceSet,
@@ -24,7 +25,18 @@ from pi2cut.solver import (
     sol_filter,
     verify_solution,
 )
-from pi2cut.syntax import clause_key, dnf_of
+from pi2cut.syntax import (
+    ALPHA,
+    X,
+    Y,
+    Var,
+    beta,
+    clause_key,
+    dnf_of,
+    dual,
+    free_vars,
+    substitute_literal,
+)
 
 
 def brute_solutions(sehs, starting):
@@ -99,6 +111,41 @@ def test_balanced_solutions_survive_gstar_pool():
         rng = random.Random(1300 + seed)
         triggered += check_balanced_implies_gstar_solvable(random_sehs(rng))
     assert triggered >= 5
+
+
+def test_pools_match_their_pairwise_definitions():
+    """The gstar pool is the union of the `unifiable_pair` sets over leaf
+    literal pairs, with `unifiable` read per leaf from them; every naive
+    generalisation instantiates back to its target under its witness pair."""
+    for rich in (False, True):
+        for seed in range(60):
+            sehs = random_sehs(random.Random(2100 + seed), rich=rich, max_leaves=4)
+            g = sehs.grammar
+            lefts = {l for leaf in sehs.leaves for l in leaf.a_part | leaf.n_part}
+            rights = {q for leaf in sehs.leaves for q in leaf.b_part | leaf.n_part}
+            sys = gstar_of(g)
+            common = {
+                l: frozenset().union(*(unifiable_pair(l, q, sys) for q in rights))
+                for l in lefts
+            }
+            pool, unifiable = gstar_pool(sehs)
+            assert pool == frozenset().union(*common.values()), f"seed {seed}"
+            assert unifiable == all(
+                any(common[l] for l in leaf.a_part | leaf.n_part) for leaf in sehs.leaves
+            ), f"seed {seed}"
+
+            witnesses = [(l, Var(ALPHA), t) for l in lefts for t in g.t_terms] + [
+                (dual(q), r, Var(beta(j)))
+                for q in rights
+                for j, r in enumerate(g.r_terms, 1)
+            ]
+            naive = set()
+            for target, x_img, y_img in witnesses:
+                for lit in reachable_literals(target, GStarSystem((x_img,), (y_img,))):
+                    assert free_vars(lit.atom) <= {X, Y}
+                    assert substitute_literal(lit, {X: x_img, Y: y_img}) == target
+                    naive.add(lit)
+            assert naive_pool(sehs) == naive, f"seed {seed}"
 
 
 def test_allowed_sets_subset_closed():

@@ -16,8 +16,9 @@ from fixtures import (
     y,
 )
 from pi2cut.calculus import ORIGIN_CUT, ORIGIN_END, tagged_leaves
-from pi2cut.grammar import WrappedTerm
+from pi2cut.grammar import GStarSystem, WrappedTerm, reachable_literals
 from pi2cut.herbrand import ExtendedHerbrandSequent, herbrand_term_set
+from pi2cut.problem_io import print_sequent
 from pi2cut.solver import (
     CoverFailure,
     NoSolutionUnderPool,
@@ -26,7 +27,6 @@ from pi2cut.solver import (
     SolverOptions,
     _clause_sets,
     _Ctx,
-    anti_instances,
     build_sehs,
     cl_filter,
     clauses_from_pool,
@@ -50,7 +50,6 @@ from pi2cut.syntax import (
     disj,
     dnf_of,
     free_vars,
-    sequent_to_sexp,
 )
 
 alpha = Var(ALPHA)
@@ -68,7 +67,7 @@ class TestBuildSehs:
     def test_shared_base_shape(self):
         pf = shared_base()
         sehs, rr = build_sehs(pf.problem, pf.grammar)
-        assert sequent_to_sexp(rr) == (
+        assert print_sequent(rr) == (
             "(sequent (left (and (P alpha (t1 alpha)) (Q alpha (t2 alpha))))"
             " (right (and (P r b1) (Q r b2))))"
         )
@@ -76,7 +75,7 @@ class TestBuildSehs:
     def test_swap_pair_reduced_representation(self):
         pf = swap_pair()
         _, rr = build_sehs(pf.problem, pf.grammar)
-        assert sequent_to_sexp(rr) == (
+        assert print_sequent(rr) == (
             "(sequent (left (or (and (P alpha (t1 alpha)) (Q alpha (t2 alpha)))"
             " (and (P alpha (t2 alpha)) (Q alpha (t1 alpha)))))"
             " (right (or (P r b1) (Q r b1))))"
@@ -168,9 +167,11 @@ class TestPartitionedDnta:
 
 
 class TestAntiInstances:
+    """The naive pool's generalisation: one image for x, one for y."""
+
     def test_full_and_partial_generalisation(self):
         target = lit("P", alpha, t1(alpha))
-        got = anti_instances(target, alpha, t1(alpha))
+        got = reachable_literals(target, GStarSystem((alpha,), (t1(alpha),)))
         assert got == frozenset(
             {lit("P", x, y), lit("P", x, t1(x))}
         )
@@ -179,7 +180,7 @@ class TestAntiInstances:
         f = lambda t: App("f", (t,))
         f1 = lambda t: App("f1", (t,))
         target = lit("P", alpha, f(f1(alpha)))
-        got = anti_instances(target, alpha, f1(alpha))
+        got = reachable_literals(target, GStarSystem((alpha,), (f1(alpha),)))
         assert lit("P", x, f(y)) in got
         assert lit("P", x, f(f1(x))) in got
 
