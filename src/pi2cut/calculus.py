@@ -1,8 +1,10 @@
 """Sequent-calculus engine.
 
-A propositional kernel (exhaustive invertible decomposition, tautology
-decision by CNF translation plus DPLL), full proof trees with quantifier
-rules and cut, an independent rule-by-rule proof checker, and the three
+One table holds all twelve inference rules, the eight propositional and
+the four quantifier ones.  The propositional kernel (exhaustive invertible
+decomposition), the proof builder, the rule-by-rule proof checker and the
+proof reader all read it.  Also here: tautology decision by CNF
+translation plus DPLL, full proof trees with cut, and the three
 proof-complexity measures.
 
 Sequent sides are sets; the axiom rule closes any sequent whose sides
@@ -106,32 +108,57 @@ def _candidates(
 
 _Added = tuple[tuple[Formula, ...], tuple[Formula, ...]]
 
-# The decomposition rules: for each side and connective, the rule label and,
-# per premise, the formulas the premise adds on the left and on the right.
-_RULES: dict[tuple[str, type], tuple[str, Callable[..., tuple[_Added, ...]]]] = {
-    (LEFT, And): (AND_L, lambda f: (((f.left, f.right), ()),)),
-    (LEFT, Or): (OR_L, lambda f: (((f.left,), ()), ((f.right,), ()))),
-    (LEFT, Imp): (IMP_L, lambda f: (((), (f.left,)), ((f.right,), ()))),
-    (LEFT, Not): (NOT_L, lambda f: (((), (f.sub,)),)),
-    (RIGHT, And): (AND_R, lambda f: (((), (f.left,)), ((), (f.right,)))),
-    (RIGHT, Or): (OR_R, lambda f: (((), (f.left, f.right)),)),
-    (RIGHT, Imp): (IMP_R, lambda f: (((f.left,), (f.right,)),)),
-    (RIGHT, Not): (NOT_R, lambda f: (((f.sub,), ()),)),
+
+def _instance(f: Formula, t: Term | None) -> Formula:
+    if t is None:
+        raise SyntaxError_(f"no witness or eigenvariable for {formula_to_sexp(f)}")
+    return substitute(f.body, {f.var: t})  # type: ignore[union-attr]
+
+
+# The inference rules: for each side and connective or quantifier, the rule
+# label and, per premise, the formulas the premise adds on the left and on
+# the right.  A quantifier rule adds its body instantiated at the
+# inference's term: the witness of a weak rule, the eigenvariable of a
+# strong one.
+_RULES: dict[tuple[str, type], tuple[str, Callable[[Formula, Term | None], tuple[_Added, ...]]]] = {
+    (LEFT, And): (AND_L, lambda f, _: (((f.left, f.right), ()),)),
+    (LEFT, Or): (OR_L, lambda f, _: (((f.left,), ()), ((f.right,), ()))),
+    (LEFT, Imp): (IMP_L, lambda f, _: (((), (f.left,)), ((f.right,), ()))),
+    (LEFT, Not): (NOT_L, lambda f, _: (((), (f.sub,)),)),
+    (RIGHT, And): (AND_R, lambda f, _: (((), (f.left,)), ((), (f.right,)))),
+    (RIGHT, Or): (OR_R, lambda f, _: (((), (f.left, f.right)),)),
+    (RIGHT, Imp): (IMP_R, lambda f, _: (((f.left,), (f.right,)),)),
+    (RIGHT, Not): (NOT_R, lambda f, _: (((f.sub,), ()),)),
+    (LEFT, ForAll): (FORALL_L, lambda f, t: (((_instance(f, t),), ()),)),
+    (RIGHT, Exists): (EXISTS_R, lambda f, t: (((), (_instance(f, t),)),)),
+    (RIGHT, ForAll): (FORALL_R, lambda f, t: (((), (_instance(f, t),)),)),
+    (LEFT, Exists): (EXISTS_L, lambda f, t: (((_instance(f, t),), ()),)),
 }
 
+# Every label a proof node may carry.
+RULES = frozenset({AXIOM, NON_TAUT_LEAF, CUT}.union(label for label, _ in _RULES.values()))
 
-def _rule(side: str, f: Formula) -> tuple[str, tuple[_Added, ...]]:
+
+def _rule(side: str, f: Formula, term: Term | None = None) -> tuple[str, tuple[_Added, ...]]:
     entry = _RULES.get((side, type(f)))
     if entry is None:
         raise SyntaxError_(f"cannot decompose {formula_to_sexp(f)} on the {side}")
     label, added = entry
-    return label, added(f)
+    return label, added(f, term)
 
 
-def _premises_of(s: Sequent, side: str, f: Formula) -> tuple[str, tuple[Sequent, ...]]:
-    """Rule label and premises for decomposing `f` on `side` of `s`."""
-    label, added = _rule(side, f)
-    left, right = (s.left - {f}, s.right) if side == LEFT else (s.left, s.right - {f})
+def premises_of(
+    s: Sequent, side: str, f: Formula, term: Term | None = None, keep: bool = False
+) -> tuple[str, tuple[Sequent, ...]]:
+    """Rule label and premises for decomposing `f` on `side` of `s`, a
+    quantifier at `term`.  A weak rule with `keep` leaves `f` in place."""
+    label, added = _rule(side, f, term)
+    if keep and label in WEAK_RULES:
+        left, right = s.left, s.right
+    elif side == LEFT:
+        left, right = s.left - {f}, s.right
+    else:
+        left, right = s.left, s.right - {f}
     return label, tuple(
         Sequent(left.union(l_add) if l_add else left, right.union(r_add) if r_add else right)
         for l_add, r_add in added
@@ -146,7 +173,7 @@ def _expand(s: Sequent, stop_at_axiom: bool, policy: Policy | None) -> Node:
         rule = AXIOM if s.shares_atom() else NON_TAUT_LEAF
         return Node(rule, s)
     side, f = cands[policy(s, cands) if policy is not None else 0]
-    rule, prem = _premises_of(s, side, f)
+    rule, prem = premises_of(s, side, f)
     subs = tuple(_expand(p, stop_at_axiom, policy) for p in prem)
     return Node(rule, s, subs, principal=f, side=side)
 
@@ -174,7 +201,7 @@ def _greedy_pick(s: Sequent, cands: Sequence[tuple[str, Formula]]) -> int:
     best = 0
     best_key = (len(s.left) + len(s.right) + 9, 9)
     for idx, (side, f) in enumerate(cands):
-        _, prem = _premises_of(s, side, f)
+        _, prem = premises_of(s, side, f)
         open_count = sum(1 for q in prem if not q.shares_atom())
         key = (open_count, len(prem))
         if key < best_key:
@@ -502,45 +529,17 @@ def _check_node(n: Node, path: tuple[int, ...]) -> CheckReport:
     if f not in here:
         return _fail(path, "principal formula not in the conclusion")
 
-    if n.rule in WEAK_RULES + STRONG_RULES:
-        if len(n.premises) != 1:
-            return _fail(path, f"{n.rule} needs one premise")
-        prem = n.premises[0].sequent
-        if n.rule == FORALL_L:
-            if not (isinstance(f, ForAll) and n.side == LEFT and n.witness is not None):
-                return _fail(path, "forall-l needs a universal principal on the left and a witness")
-            inst = substitute(f.body, {f.var: n.witness})
-            base = s.left if n.keep else s.left - {f}
-            want = Sequent(base | {inst}, s.right)
-        elif n.rule == EXISTS_R:
-            if not (isinstance(f, Exists) and n.side == RIGHT and n.witness is not None):
-                return _fail(path, "exists-r needs an existential principal on the right and a witness")
-            inst = substitute(f.body, {f.var: n.witness})
-            base = s.right if n.keep else s.right - {f}
-            want = Sequent(s.left, base | {inst})
-        else:
-            if n.eigen is None:
-                return _fail(path, f"{n.rule} needs an eigenvariable")
-            cond_vars = set()
-            for g in s.left | s.right:
-                cond_vars |= free_vars(g)
-            if n.eigen in cond_vars:
-                return _fail(path, f"eigenvariable {n.eigen} occurs in the conclusion")
-            inst = substitute(f.body, {f.var: Var(n.eigen)})
-            if n.rule == FORALL_R:
-                if not (isinstance(f, ForAll) and n.side == RIGHT):
-                    return _fail(path, "forall-r needs a universal principal on the right")
-                want = Sequent(s.left, (s.right - {f}) | {inst})
-            else:
-                if not (isinstance(f, Exists) and n.side == LEFT):
-                    return _fail(path, "exists-l needs an existential principal on the left")
-                want = Sequent((s.left - {f}) | {inst}, s.right)
-        if prem != want:
-            return _fail(path, f"{n.rule} premise does not match the rule schema")
-        return CheckReport(True)
-
+    # A strong rule's term is its eigenvariable and a weak rule's its
+    # witness, never the other field.
+    term = n.witness
+    if n.rule in STRONG_RULES:
+        if n.eigen is None:
+            return _fail(path, f"{n.rule} needs an eigenvariable")
+        if any(n.eigen in free_vars(g) for g in s.left | s.right):
+            return _fail(path, f"eigenvariable {n.eigen} occurs in the conclusion")
+        term = Var(n.eigen)
     try:
-        rule, want_seqs = _premises_of(s, n.side, f)
+        rule, want_seqs = premises_of(s, n.side, f, term, n.keep)
     except SyntaxError_ as e:
         return _fail(path, str(e))
     if rule != n.rule:

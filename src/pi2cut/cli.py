@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 solved / check passed, 1 no solution under the chosen pool,
-2 malformed input, 3 verification or proof-check failure.
+2 malformed or unreadable input or an unwritable proof file, 3 verification
+or proof-check failure.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     _emit(_report_lines(report), args.json)
     if args.emit_proof:
         text = print_proof(report.proof, pf.problem.signature)
-        Path(args.emit_proof).write_text(text, encoding="utf-8")
+        try:
+            Path(args.emit_proof).write_text(text, encoding="utf-8")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return INPUT_ERROR
         if args.verify:
             reparsed, _ = parse_proof(text)
             verdict = check_proof(reparsed)

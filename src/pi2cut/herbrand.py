@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import calculus
-from .calculus import Node, check_proof, is_tautology, prop_proof
+from .calculus import Node, check_proof, is_tautology, premises_of, prop_proof
 from .grammar import SchematicPi2Grammar, WrappedTerm, validate
 from .syntax import (
     ALPHA,
@@ -197,7 +197,6 @@ class ExtendedHerbrandSequent:
 
 @dataclass(frozen=True)
 class _Step:
-    rule: str
     principal: Formula
     side: str
     witness: Term | None = None
@@ -210,7 +209,6 @@ def _trie_steps(
     vars_: Sequence[str],
     tuples: Sequence[tuple[Term, ...]],
     side: str,
-    rule: str,
 ) -> list[_Step]:
     """Weak inferences introducing all tuples, sharing common prefixes.
     Steps are listed from the conclusion upwards.
@@ -229,40 +227,28 @@ def _trie_steps(
     ordered = [groups[k] for k in sorted(groups)]
     steps = []
     for idx, (head, _, _) in enumerate(ordered):
-        steps.append(
-            _Step(rule, block, side, witness=head, keep=idx < len(ordered) - 1)
-        )
+        steps.append(_Step(block, side, witness=head, keep=idx < len(ordered) - 1))
     for _, child, rest in ordered:
-        steps += _trie_steps(child, vars_[1:], rest, side, rule)
+        steps += _trie_steps(child, vars_[1:], rest, side)
     return steps
 
 
-def _apply_step(s: Sequent, st: _Step) -> Sequent:
-    """Premise of `st` applied to conclusion `s` (reading upwards)."""
-    assert isinstance(st.principal, (ForAll, Exists))
-    if st.witness is not None:
-        inst = substitute(st.principal.body, {st.principal.var: st.witness})
-    else:
-        assert st.eigen is not None
-        inst = substitute(st.principal.body, {st.principal.var: Var(st.eigen)})
-    if st.side == calculus.LEFT:
-        base = s.left if (st.keep and st.witness is not None) else s.left - {st.principal}
-        return Sequent(base | {inst}, s.right)
-    base = s.right if (st.keep and st.witness is not None) else s.right - {st.principal}
-    return Sequent(s.left, base | {inst})
-
-
 def _build_branch(bottom: Sequent, steps: list[_Step]) -> Node:
-    """Chain the steps above `bottom` and cap with a propositional proof."""
-    seqs = [bottom]
+    """Chain the steps above `bottom`, each labelled and instantiated by
+    the rule table, and cap with a propositional proof."""
+    links = []
+    s = bottom
     for st in steps:
-        seqs.append(_apply_step(seqs[-1], st))
-    node = prop_proof(seqs[-1])
+        term = st.witness if st.eigen is None else Var(st.eigen)
+        rule, (premise,) = premises_of(s, st.side, st.principal, term, st.keep)
+        links.append((rule, st, s))
+        s = premise
+    node = prop_proof(s)
     if any(leaf.rule == calculus.NON_TAUT_LEAF for leaf in node.leaves()):
         raise NotTautological("instantiated sequent is not valid")
-    for st, conclusion in zip(reversed(steps), seqs[-2::-1]):
+    for rule, st, conclusion in reversed(links):
         node = Node(
-            st.rule,
+            rule,
             conclusion,
             (node,),
             principal=st.principal,
@@ -287,12 +273,8 @@ def proof_from_herbrand(pb: PrenexProblem, inst: HerbrandInstanceSet) -> Node:
     valid, _ = herbrand_check(pb, inst)
     if not valid:
         raise NotTautological("instance set does not validate the sequent")
-    steps = _trie_steps(
-        pb.universal(), pb.forall_vars, inst.f_tuples, calculus.LEFT, calculus.FORALL_L
-    )
-    steps += _trie_steps(
-        pb.existential(), pb.exists_vars, inst.g_tuples, calculus.RIGHT, calculus.EXISTS_R
-    )
+    steps = _trie_steps(pb.universal(), pb.forall_vars, inst.f_tuples, calculus.LEFT)
+    steps += _trie_steps(pb.existential(), pb.exists_vars, inst.g_tuples, calculus.RIGHT)
     return _checked(_build_branch(pb.end_sequent(), steps))
 
 
@@ -324,48 +306,25 @@ def proof_from_eh(eh: ExtendedHerbrandSequent) -> Node:
     # Left branch: derive |- cut formula next to the end-sequent.
     left_bottom = Sequent.of([universal], [existential, cutf])
     exists_cut = substitute(Exists(Y, eh.cut_matrix), {X: Var(ALPHA)})
-    steps: list[_Step] = [
-        _Step(calculus.FORALL_R, cutf, calculus.RIGHT, eigen=ALPHA)
-    ]
+    steps = [_Step(cutf, calculus.RIGHT, eigen=ALPHA)]
     for i, t in enumerate(g.t_terms):
-        steps.append(
-            _Step(
-                calculus.EXISTS_R,
-                exists_cut,
-                calculus.RIGHT,
-                witness=t,
-                keep=i < g.p - 1,
-            )
-        )
-    steps += _trie_steps(universal, pb.forall_vars, g.f_tuples, calculus.LEFT, calculus.FORALL_L)
+        steps.append(_Step(exists_cut, calculus.RIGHT, witness=t, keep=i < g.p - 1))
+    steps += _trie_steps(universal, pb.forall_vars, g.f_tuples, calculus.LEFT)
     if not lean_left:
-        steps += _trie_steps(
-            existential, pb.exists_vars, g.g_tuples, calculus.RIGHT, calculus.EXISTS_R
-        )
+        steps += _trie_steps(existential, pb.exists_vars, g.g_tuples, calculus.RIGHT)
     left = _build_branch(left_bottom, steps)
 
     # Right branch: consume the cut formula.
     right_bottom = Sequent.of([universal, cutf], [existential])
     steps = []
     for j, r in enumerate(g.r_terms, 1):
+        steps.append(_Step(cutf, calculus.LEFT, witness=r, keep=j < g.m))
         steps.append(
-            _Step(calculus.FORALL_L, cutf, calculus.LEFT, witness=r, keep=j < g.m)
+            _Step(substitute(Exists(Y, eh.cut_matrix), {X: r}), calculus.LEFT, eigen=beta(j))
         )
-        steps.append(
-            _Step(
-                calculus.EXISTS_L,
-                substitute(Exists(Y, eh.cut_matrix), {X: r}),
-                calculus.LEFT,
-                eigen=beta(j),
-            )
-        )
-    steps += _trie_steps(
-        existential, pb.exists_vars, g.g_tuples, calculus.RIGHT, calculus.EXISTS_R
-    )
+    steps += _trie_steps(existential, pb.exists_vars, g.g_tuples, calculus.RIGHT)
     if not lean_right:
-        steps += _trie_steps(
-            universal, pb.forall_vars, g.f_tuples, calculus.LEFT, calculus.FORALL_L
-        )
+        steps += _trie_steps(universal, pb.forall_vars, g.f_tuples, calculus.LEFT)
     right = _build_branch(right_bottom, steps)
 
     root = Node(

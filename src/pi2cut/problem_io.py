@@ -330,25 +330,6 @@ def print_proof(root: Node, sig: Signature) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RULES = {
-    calculus.AXIOM,
-    calculus.NON_TAUT_LEAF,
-    calculus.AND_L,
-    calculus.AND_R,
-    calculus.OR_L,
-    calculus.OR_R,
-    calculus.IMP_L,
-    calculus.IMP_R,
-    calculus.NOT_L,
-    calculus.NOT_R,
-    calculus.FORALL_L,
-    calculus.FORALL_R,
-    calculus.EXISTS_L,
-    calculus.EXISTS_R,
-    calculus.CUT,
-}
-
-
 # Item count, head included, of each node part of fixed shape.
 _PART_SIZES = {"rule": 2, "principal": 3, "witness": 2, "eigen": 2, "keep": 1, "cut-formula": 2}
 
@@ -388,7 +369,7 @@ def _parse_node(node: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
             raise ParseError(f"({head} ...) takes {size - 1} item(s)", part.line, part.col)
         if head == "rule":
             rule = expect_atom(part.items[1], "rule name").value
-            if rule not in _RULES:
+            if rule not in calculus.RULES:
                 raise ParseError(f"unknown rule '{rule}'", part.line, part.col)
         elif head == "principal":
             side = expect_atom(part.items[1], "side").value

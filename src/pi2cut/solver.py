@@ -33,19 +33,21 @@ from .grammar import (
 )
 # Unused here; stays importable because perfbench/tracer.py wraps solver.unifiable_pair.
 from .grammar import unifiable_pair  # noqa: F401
-from .herbrand import ExtendedHerbrandSequent, PrenexProblem, instantiate, proof_from_eh
+from .herbrand import (
+    ExtendedHerbrandSequent,
+    HerbrandInstanceSet,
+    PrenexProblem,
+    midsequent,
+    proof_from_eh,
+)
 from .syntax import (
     ALPHA,
-    And,
     App,
     Atom,
     Clause,
     ClauseSet,
     Formula,
-    Imp,
     Literal,
-    Not,
-    Or,
     Sequent,
     Var,
     X,
@@ -68,10 +70,6 @@ class SolverError(Exception):
 
 class CoverFailure(SolverError):
     """The grammar's rigid language misses part of the given term set."""
-
-
-class MixedAtomError(SolverError):
-    """An instance atom mixes alpha with a cut eigenvariable."""
 
 
 class NotASolution(SolverError):
@@ -120,16 +118,9 @@ class Sehs:
     grammar: SchematicPi2Grammar
     term_set: frozenset[WrappedTerm] | None = None
 
-    def f_instances(self) -> list[Formula]:
-        pb = self.problem
-        return [instantiate(pb.antecedent, pb.forall_vars, t) for t in self.grammar.f_tuples]
-
-    def g_instances(self) -> list[Formula]:
-        pb = self.problem
-        return [instantiate(pb.succedent, pb.exists_vars, t) for t in self.grammar.g_tuples]
-
     def reduced_representation(self) -> Sequent:
-        return Sequent.of(self.f_instances(), self.g_instances())
+        g = self.grammar
+        return midsequent(self.problem, HerbrandInstanceSet(g.f_tuples, g.g_tuples))
 
     @cached_property
     def leaves(self) -> tuple[PartitionedLeaf, ...]:
@@ -177,26 +168,7 @@ def build_sehs(
             "grammar does not generate: " + ", ".join(t.to_sexp() for t in missing)
         )
     sehs = Sehs(pb, g, wrapped)
-    rr = sehs.reduced_representation()
-    betas = set(g.beta_vars())
-    for f in rr.left | rr.right:
-        for atom in _atoms_of(f):
-            vs = free_vars(atom)
-            if ALPHA in vs and vs & betas:
-                raise MixedAtomError(
-                    f"instance atom mixes alpha and cut eigenvariables: {atom}"
-                )
-    return sehs, rr
-
-
-def _atoms_of(f: Formula) -> Iterator[Atom]:
-    if isinstance(f, Atom):
-        yield f
-    elif isinstance(f, Not):
-        yield from _atoms_of(f.sub)
-    elif isinstance(f, (And, Or, Imp)):
-        yield from _atoms_of(f.left)
-        yield from _atoms_of(f.right)
+    return sehs, sehs.reduced_representation()
 
 
 def partitioned_dnta(sehs: Sehs) -> frozenset[PartitionedLeaf]:
@@ -212,8 +184,6 @@ def partitioned_dnta(sehs: Sehs) -> frozenset[PartitionedLeaf]:
         n: set[Literal] = set()
         for lit in literal_normal_form(leaf):
             vs = free_vars(lit.atom)
-            if ALPHA in vs and vs & betas:
-                raise MixedAtomError("leaf atom mixes alpha and cut eigenvariables")
             if ALPHA in vs:
                 a.add(lit)
             elif vs & betas:

@@ -190,25 +190,6 @@ class Signature:
         for a in t.args:
             self.check_term(a)
 
-    def check_formula(self, f: Formula) -> None:
-        if isinstance(f, Atom):
-            arity = self.predicates.get(f.pred)
-            if arity is None:
-                raise SyntaxError_(f"unknown predicate symbol: {f.pred}")
-            if arity != len(f.args):
-                raise SyntaxError_(f"{f.pred} expects {arity} arguments, got {len(f.args)}")
-            for a in f.args:
-                self.check_term(a)
-        elif isinstance(f, Not):
-            self.check_formula(f.sub)
-        elif isinstance(f, (And, Or, Imp)):
-            self.check_formula(f.left)
-            self.check_formula(f.right)
-        elif isinstance(f, (ForAll, Exists)):
-            self.check_formula(f.body)
-        else:
-            raise SyntaxError_(f"not a formula: {f!r}")
-
 
 # ---------------------------------------------------------------------------
 # Free variables and substitution
@@ -271,11 +252,6 @@ def substitute(f: Formula, sub: Substitution) -> Formula:
         body = substitute(f.body, inner)
         return ForAll(f.var, body) if isinstance(f, ForAll) else Exists(f.var, body)
     raise SyntaxError_(f"not a formula: {f!r}")
-
-
-def apply_to(t: Term, s: Term) -> Term:
-    """Plug `s` in for the distinguished variable `alpha` of `t`."""
-    return substitute_term(t, {ALPHA: s})
 
 
 # ---------------------------------------------------------------------------

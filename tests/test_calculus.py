@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from pi2cut.calculus import (
     NON_TAUT_LEAF,
     OR_L,
     RIGHT,
+    STRONG_RULES,
+    WEAK_RULES,
     ComplexityTriple,
     Node,
     check_proof,
@@ -24,6 +27,7 @@ from pi2cut.calculus import (
     symbol_count,
     tagged_leaves,
 )
+from pi2cut.herbrand import ExtendedHerbrandSequent, proof_from_eh
 from pi2cut.solver import build_sehs
 from pi2cut.syntax import (
     ALPHA,
@@ -38,6 +42,8 @@ from pi2cut.syntax import (
     Sequent,
     SyntaxError_,
     Var,
+    X,
+    Y,
     const,
 )
 
@@ -323,6 +329,60 @@ class TestCheckProof:
             (Node(AXIOM, Sequent.of([P(a)], [P(a)])),),  # dropped Q(a)
             principal=And(P(a), Q(a)),
             side=LEFT,
+        )
+        assert not check_proof(bad).ok
+
+
+class TestQuantifierMutations:
+    """The first inference of each quantifier rule in two_step's one-cut
+    proof, altered so that it no longer fits the rule, is rejected."""
+
+    QUANTIFIER_RULES = WEAK_RULES + STRONG_RULES
+
+    def first_inferences(self) -> dict[str, Node]:
+        pf = two_step()
+        eh = ExtendedHerbrandSequent(pf.problem, pf.grammar, P(Var(X), Var(Y)))
+        out: dict[str, Node] = {}
+        for n in proof_from_eh(eh).nodes():
+            if n.rule in self.QUANTIFIER_RULES:
+                out.setdefault(n.rule, n)
+        return out
+
+    def mutations(self, n: Node):
+        change = lambda **kw: dataclasses.replace(n, **kw)
+        for rule in self.QUANTIFIER_RULES:
+            if rule != n.rule:
+                yield f"relabelled {rule}", change(rule=rule)
+        yield "other side", change(side=RIGHT if n.side == LEFT else LEFT)
+        s = n.sequent
+        dropped = Sequent(s.left - {n.principal}, s.right - {n.principal})
+        yield "principal not in the conclusion", change(sequent=dropped)
+        if n.rule in STRONG_RULES:
+            yield "eigenvariable as witness", change(witness=Var(n.eigen), eigen=None)
+            # Closed premise and all; only the eigenvariable condition fails.
+            clash = P(Var(n.eigen), Var(n.eigen))
+            grow = lambda q: Sequent(q.left | {clash}, q.right | {clash})
+            top = Node(AXIOM, grow(n.premises[0].sequent))
+            yield "eigenvariable in the conclusion", change(sequent=grow(s), premises=(top,))
+        else:
+            yield "no witness", change(witness=None)
+            yield "other witness", change(witness=App("w", ()))
+            yield "keep flipped", change(keep=not n.keep)
+        yield "duplicated premise", change(premises=n.premises * 2)
+
+    def test_mutations_rejected(self):
+        nodes = self.first_inferences()
+        assert set(nodes) == set(self.QUANTIFIER_RULES)
+        for rule, n in nodes.items():
+            assert check_proof(n).ok, rule
+            for what, bad in self.mutations(n):
+                assert not check_proof(bad).ok, f"{rule}: {what}"
+
+    def test_strong_rule_on_unquantified_principal_rejected(self):
+        n = self.first_inferences()[EXISTS_L]
+        atom = P(a, a)
+        bad = dataclasses.replace(
+            n, sequent=Sequent(n.sequent.left | {atom}, n.sequent.right), principal=atom
         )
         assert not check_proof(bad).ok
 

@@ -45,6 +45,12 @@ class TestSolve:
         check_out = capsys.readouterr().out
         assert "ok" in check_out
 
+    def test_unwritable_proof_exit_two(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "out.sexp"
+        assert main(["solve", TWO_STEP, "--emit-proof", str(out_file)]) == 2
+        assert not out_file.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_no_solution_json_stats(self, capsys):
         assert main(["solve", TWO_BASES, "--pool", "naive", "--json"]) == 1
         data = json.loads(capsys.readouterr().out)
