@@ -497,8 +497,27 @@ def _fail(path: tuple[int, ...], msg: str) -> CheckReport:
     return CheckReport(False, msg, path)
 
 
+def _stray_field(n: Node) -> str | None:
+    """The first field of the node that its rule does not read, by its
+    name in proof files."""
+    if n.eigen is not None and n.rule not in STRONG_RULES:
+        return "eigen"
+    if n.witness is not None and n.rule not in WEAK_RULES:
+        return "witness"
+    if n.keep and n.rule not in WEAK_RULES:
+        return "keep"
+    if n.cut_formula is not None and n.rule != CUT:
+        return "cut-formula"
+    if (n.principal is not None or n.side is not None) and n.rule in (AXIOM, CUT):
+        return "principal"
+    return None
+
+
 def _check_node(n: Node, path: tuple[int, ...]) -> CheckReport:
     s = n.sequent
+    stray = _stray_field(n)
+    if stray is not None:
+        return _fail(path, f"{n.rule} takes no {stray} field")
     if n.rule == AXIOM:
         if n.premises:
             return _fail(path, "axiom with premises")
@@ -529,8 +548,7 @@ def _check_node(n: Node, path: tuple[int, ...]) -> CheckReport:
     if f not in here:
         return _fail(path, "principal formula not in the conclusion")
 
-    # A strong rule's term is its eigenvariable and a weak rule's its
-    # witness, never the other field.
+    # A strong rule's term is its eigenvariable, a weak rule's its witness.
     term = n.witness
     if n.rule in STRONG_RULES:
         if n.eigen is None:
@@ -562,7 +580,7 @@ def check_proof(root: Node) -> CheckReport:
         rep = _check_node(n, path)
         if not rep.ok:
             return rep
-        if n.rule in STRONG_RULES and n.eigen is not None:
+        if n.eigen is not None:
             if n.eigen in eigens:
                 return _fail(path, f"eigenvariable {n.eigen} used by two inferences")
             eigens[n.eigen] = path

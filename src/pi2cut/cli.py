@@ -246,8 +246,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except RecursionError:
-        # Formulas, terms and proofs are read and walked recursively; no
-        # depth cap is set, since real proofs nest deeper as n grows.
+        # Formulas and terms are read and printed recursively (proof trees
+        # are walked with explicit stacks); no depth cap is set.
         print("error: input nested too deeply", file=sys.stderr)
         return INPUT_ERROR
 

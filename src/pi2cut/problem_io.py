@@ -300,27 +300,45 @@ def print_sequent(s: Sequent) -> str:
     return f"(sequent {lpart} {rpart})"
 
 
-def _print_node(n: Node, indent: int) -> list[str]:
-    pad = "  " * indent
-    parts = [f"{pad}(node (rule {n.rule})"]
-    if n.principal is not None:
-        parts.append(f"{pad}  (principal {n.side} {formula_to_sexp(n.principal)})")
-    if n.witness is not None:
-        parts.append(f"{pad}  (witness {term_to_sexp(n.witness)})")
-    if n.eigen is not None:
-        parts.append(f"{pad}  (eigen {n.eigen})")
-    if n.keep:
-        parts.append(f"{pad}  (keep)")
-    if n.cut_formula is not None:
-        parts.append(f"{pad}  (cut-formula {formula_to_sexp(n.cut_formula)})")
-    parts.append(f"{pad}  {print_sequent(n.sequent)}")
-    if n.premises:
-        parts.append(f"{pad}  (premises")
-        for p in n.premises:
-            parts.extend(_print_node(p, indent + 2))
-        parts.append(f"{pad}  )")
-    parts.append(f"{pad})")
-    return parts
+# Premises indent two levels deeper than their conclusion, down to this
+# node depth; deeper nodes keep its indentation, so that the text of a
+# deep proof grows linearly with its size.  No proof the package builds
+# for its benchmark family comes near it (the cut-free proof of S_3 is
+# 109 nodes deep).
+_INDENT_DEPTH = 128
+
+
+def _print_node(root: Node, indent: int) -> list[str]:
+    """The lines of a proof tree, walked with an explicit stack so that
+    deep proofs do not exhaust the call stack."""
+    lines: list[str] = []
+    stack: list[tuple[Node, int] | str] = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        n, depth = item
+        pad = "  " * (indent + 2 * min(depth, _INDENT_DEPTH))
+        lines.append(f"{pad}(node (rule {n.rule})")
+        if n.principal is not None:
+            lines.append(f"{pad}  (principal {n.side} {formula_to_sexp(n.principal)})")
+        if n.witness is not None:
+            lines.append(f"{pad}  (witness {term_to_sexp(n.witness)})")
+        if n.eigen is not None:
+            lines.append(f"{pad}  (eigen {n.eigen})")
+        if n.keep:
+            lines.append(f"{pad}  (keep)")
+        if n.cut_formula is not None:
+            lines.append(f"{pad}  (cut-formula {formula_to_sexp(n.cut_formula)})")
+        lines.append(f"{pad}  {print_sequent(n.sequent)}")
+        if n.premises:
+            lines.append(f"{pad}  (premises")
+            stack += (f"{pad})", f"{pad}  )")
+            stack.extend((p, depth + 1) for p in reversed(n.premises))
+        else:
+            lines.append(f"{pad})")
+    return lines
 
 
 def print_proof(root: Node, sig: Signature) -> str:
@@ -348,7 +366,10 @@ def _proof_formula(node: SNode, sig: Signature, memo: dict[str, Formula]) -> For
     return formula
 
 
-def _parse_node(node: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
+def _read_node(
+    node: SNode, sig: Signature, memo: dict[str, Formula]
+) -> tuple[dict[str, object], tuple[SNode, ...]]:
+    """The fields of one proof node, and the forms of its premises."""
     lst = expect_list(node, "proof node")
     if head_of(lst, "node") != "node":
         raise ParseError("expected (node ...)", lst.line, lst.col)
@@ -360,7 +381,7 @@ def _parse_node(node: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
     keep = False
     cut_formula = None
     sequent = None
-    premises: tuple[Node, ...] = ()
+    premises: tuple[SNode, ...] = ()
     for item in lst.items[1:]:
         part = expect_list(item, "node part")
         head = head_of(part, "node part")
@@ -395,15 +416,14 @@ def _parse_node(node: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
                     target.append(_proof_formula(f, sig, memo))
             sequent = Sequent.of(left, right)
         elif head == "premises":
-            premises = tuple(_parse_node(p, sig, memo) for p in part.items[1:])
+            premises = part.items[1:]
         else:
             raise ParseError(f"unknown node part '{head}'", part.line, part.col)
     if rule is None or sequent is None:
         raise ParseError("node needs a rule and a sequent", lst.line, lst.col)
-    return Node(
-        rule,
-        sequent,
-        premises,
+    fields = dict(
+        rule=rule,
+        sequent=sequent,
         principal=principal,
         side=side,
         witness=witness,
@@ -411,6 +431,26 @@ def _parse_node(node: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
         keep=keep,
         cut_formula=cut_formula,
     )
+    return fields, premises
+
+
+def _parse_node(root: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
+    """A proof tree, read with an explicit stack so that deep proofs do not
+    exhaust the call stack.  A node is built once all its premises are."""
+    built: list[Node] = []
+    stack: list[tuple[SNode, tuple[dict[str, object], int] | None]] = [(root, None)]
+    while stack:
+        node, read = stack.pop()
+        if read is None:
+            fields, premises = _read_node(node, sig, memo)
+            stack.append((node, (fields, len(premises))))
+            stack.extend((p, None) for p in reversed(premises))
+            continue
+        fields, count = read
+        premises_built = tuple(built[len(built) - count :])
+        del built[len(built) - count :]
+        built.append(Node(premises=premises_built, **fields))  # type: ignore[arg-type]
+    return built[0]
 
 
 def parse_proof(text: str) -> tuple[Node, Signature]:

@@ -178,19 +178,17 @@ def partitioned_dnta(sehs: Sehs) -> frozenset[PartitionedLeaf]:
     betas = set(sehs.grammar.beta_vars())
     leaves = non_tautological_leaves(maximal_derivation(rr))
     out = set()
+    # The part (0 alpha, 1 beta, 2 neither) of each distinct atom.
+    part_of: dict[Atom, int] = {}
     for leaf in leaves:
-        a: set[Literal] = set()
-        b: set[Literal] = set()
-        n: set[Literal] = set()
+        parts: tuple[set[Literal], ...] = (set(), set(), set())
         for lit in literal_normal_form(leaf):
-            vs = free_vars(lit.atom)
-            if ALPHA in vs:
-                a.add(lit)
-            elif vs & betas:
-                b.add(lit)
-            else:
-                n.add(lit)
-        out.add(PartitionedLeaf(frozenset(a), frozenset(b), frozenset(n)))
+            idx = part_of.get(lit.atom)
+            if idx is None:
+                vs = free_vars(lit.atom)
+                idx = part_of[lit.atom] = 0 if ALPHA in vs else 1 if vs & betas else 2
+            parts[idx].add(lit)
+        out.add(PartitionedLeaf(*map(frozenset, parts)))
     return frozenset(out)
 
 

@@ -7,13 +7,16 @@ position-difference count used to measure instantiation sets.
 Everything here is immutable and printed in a canonical s-expression
 syntax; the printed form doubles as the canonical sort key, so every
 set-valued result in the package can be ordered deterministically.
+Terms, formulas and literals are hash-consed: one object per distinct
+structure, compared and hashed by identity, each keeping its printed
+form once computed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Any, Iterable, Mapping, Sequence
 
 # Designated variable names.  `alpha` and `b1..bN` are the eigenvariables
 # of the cut block, `x`/`y` the two variables of a candidate cut matrix,
@@ -41,22 +44,102 @@ class SyntaxError_(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consed nodes
+#
+# Terms, formulas and literals are interned at construction: each class
+# keeps one table from field tuple to node and returns the existing node
+# when there is one, so structurally equal nodes are one object, and
+# equality and hashing are the default identity versions.  Each node also
+# keeps its canonical s-expression once printed.
+#
+# The tables are deliberate module-level state.  They hold every distinct
+# node for the life of the process (the command line runs one process per
+# command); they can change no result, only object identity and memory.
+
+_new = object.__new__
+_set = object.__setattr__
+
+_VARS: dict[str, Var] = {}
+_APPS: dict[tuple[str, tuple[Term, ...]], App] = {}
+_ATOMS: dict[tuple[str, tuple[Term, ...]], Atom] = {}
+_NOTS: dict[Formula, Not] = {}
+_ANDS: dict[tuple[Formula, Formula], And] = {}
+_ORS: dict[tuple[Formula, Formula], Or] = {}
+_IMPS: dict[tuple[Formula, Formula], Imp] = {}
+_FORALLS: dict[tuple[str, Formula], ForAll] = {}
+_EXISTS: dict[tuple[str, Formula], Exists] = {}
+_LITERALS: dict[tuple[bool, Atom], Literal] = {}
+
+
+class _Interned:
+    """Immutable node built once per distinct field tuple.  `_key` holds
+    the canonical s-expression once printed, None before."""
+
+    __slots__ = ("_key",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        # Copies and unpickled nodes are rebuilt through the constructor,
+        # so they come back as the interned node.
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _pair(table: dict[Any, Any], cls: type, key: tuple[Any, Any], first: str, second: str) -> Any:
+    """A new node of a two-field class, entered in its table."""
+    node = _new(cls)
+    _set(node, first, key[0])
+    _set(node, second, key[1])
+    _set(node, "_key", None)
+    table[key] = node
+    return node
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-class Term:
+class Term(_Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     name: str
 
+    def __new__(cls, name: str) -> Var:
+        node = _VARS.get(name)
+        if node is None:
+            node = _VARS[name] = _new(cls)
+            _set(node, "name", name)
+            _set(node, "_key", name)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
 class App(Term):
+    __slots__ = ("fn", "args")
+    __match_args__ = ("fn", "args")
     fn: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+
+    def __new__(cls, fn: str, args: tuple[Term, ...] = ()) -> App:
+        key = (fn, args)
+        node = _APPS.get(key)
+        if node is None:
+            node = _pair(_APPS, cls, key, "fn", "args")
+            if not args:
+                _set(node, "_key", fn)
+        return node
 
 
 def const(name: str) -> App:
@@ -67,49 +150,94 @@ def const(name: str) -> App:
 # Formulas
 
 
-class Formula:
+class Formula(_Interned):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
+    __slots__ = ("pred", "args")
+    __match_args__ = ("pred", "args")
     pred: str
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
+
+    def __new__(cls, pred: str, args: tuple[Term, ...] = ()) -> Atom:
+        key = (pred, args)
+        node = _ATOMS.get(key)
+        return _pair(_ATOMS, cls, key, "pred", "args") if node is None else node
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
+    __slots__ = ("sub",)
+    __match_args__ = ("sub",)
     sub: Formula
 
+    def __new__(cls, sub: Formula) -> Not:
+        node = _NOTS.get(sub)
+        if node is None:
+            node = _NOTS[sub] = _new(cls)
+            _set(node, "sub", sub)
+            _set(node, "_key", None)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
 class And(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula) -> And:
+        key = (left, right)
+        node = _ANDS.get(key)
+        return _pair(_ANDS, cls, key, "left", "right") if node is None else node
 
-@dataclass(frozen=True, slots=True)
+
 class Or(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula) -> Or:
+        key = (left, right)
+        node = _ORS.get(key)
+        return _pair(_ORS, cls, key, "left", "right") if node is None else node
 
-@dataclass(frozen=True, slots=True)
+
 class Imp(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula) -> Imp:
+        key = (left, right)
+        node = _IMPS.get(key)
+        return _pair(_IMPS, cls, key, "left", "right") if node is None else node
 
-@dataclass(frozen=True, slots=True)
+
 class ForAll(Formula):
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
     var: str
     body: Formula
 
+    def __new__(cls, var: str, body: Formula) -> ForAll:
+        key = (var, body)
+        node = _FORALLS.get(key)
+        return _pair(_FORALLS, cls, key, "var", "body") if node is None else node
 
-@dataclass(frozen=True, slots=True)
+
 class Exists(Formula):
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
     var: str
     body: Formula
+
+    def __new__(cls, var: str, body: Formula) -> Exists:
+        key = (var, body)
+        node = _EXISTS.get(key)
+        return _pair(_EXISTS, cls, key, "var", "body") if node is None else node
 
 
 def conj(formulas: Sequence[Formula]) -> Formula:
@@ -258,10 +386,16 @@ def substitute(f: Formula, sub: Substitution) -> Formula:
 # Literals and clauses
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(_Interned):
+    __slots__ = ("positive", "atom")
+    __match_args__ = ("positive", "atom")
     positive: bool
     atom: Atom
+
+    def __new__(cls, positive: bool, atom: Atom) -> Literal:
+        key = (positive, atom)
+        node = _LITERALS.get(key)
+        return _pair(_LITERALS, cls, key, "positive", "atom") if node is None else node
 
     def formula(self) -> Formula:
         return self.atom if self.positive else Not(self.atom)
@@ -327,15 +461,15 @@ def literal_normal_form(s: Sequent) -> tuple[Literal, ...]:
 
 
 def term_to_sexp(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    assert isinstance(t, App)
-    if not t.args:
-        return t.fn
-    return "(" + " ".join([t.fn] + [term_to_sexp(a) for a in t.args]) + ")"
+    s = t._key
+    if s is None:
+        assert isinstance(t, App)
+        s = "(" + " ".join([t.fn] + [term_to_sexp(a) for a in t.args]) + ")"
+        _set(t, "_key", s)
+    return s
 
 
-def formula_to_sexp(f: Formula) -> str:
+def _print_formula(f: Formula) -> str:
     if isinstance(f, Atom):
         return "(" + " ".join([f.pred] + [term_to_sexp(a) for a in f.args]) + ")"
     if isinstance(f, Not):
@@ -348,25 +482,32 @@ def formula_to_sexp(f: Formula) -> str:
         return f"(imp {formula_to_sexp(f.left)} {formula_to_sexp(f.right)})"
     if isinstance(f, ForAll):
         return f"(forall {f.var} {formula_to_sexp(f.body)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {formula_to_sexp(f.body)})"
-    raise SyntaxError_(f"not a formula: {f!r}")
+    assert isinstance(f, Exists)
+    return f"(exists {f.var} {formula_to_sexp(f.body)})"
+
+
+def formula_to_sexp(f: Formula) -> str:
+    if not isinstance(f, Formula):
+        raise SyntaxError_(f"not a formula: {f!r}")
+    s = f._key
+    if s is None:
+        s = _print_formula(f)
+        _set(f, "_key", s)
+    return s
 
 
 def literal_to_sexp(lit: Literal) -> str:
-    return formula_to_sexp(lit.formula())
+    s = lit._key
+    if s is None:
+        s = formula_to_sexp(lit.formula())
+        _set(lit, "_key", s)
+    return s
 
 
-def term_key(t: Term) -> str:
-    return term_to_sexp(t)
-
-
-def formula_key(f: Formula) -> str:
-    return formula_to_sexp(f)
-
-
-def literal_key(lit: Literal) -> str:
-    return literal_to_sexp(lit)
+# The printed form is the canonical sort key.
+term_key = term_to_sexp
+formula_key = formula_to_sexp
+literal_key = literal_to_sexp
 
 
 def tuple_key(tup: Sequence[Term]) -> tuple[str, ...]:

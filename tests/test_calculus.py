@@ -5,6 +5,7 @@ import pytest
 
 from fixtures import load, two_step
 from pi2cut.calculus import (
+    AND_R,
     AXIOM,
     CUT,
     EXISTS_L,
@@ -385,6 +386,51 @@ class TestQuantifierMutations:
             n, sequent=Sequent(n.sequent.left | {atom}, n.sequent.right), principal=atom
         )
         assert not check_proof(bad).ok
+
+
+def _replace_first(n: Node, rule: str, change: dict) -> Node | None:
+    """The tree with the first node of `rule`, depth first, given `change`."""
+    if n.rule == rule:
+        return dataclasses.replace(n, **change)
+    for i, p in enumerate(n.premises):
+        new = _replace_first(p, rule, change)
+        if new is not None:
+            return dataclasses.replace(n, premises=n.premises[:i] + (new,) + n.premises[i + 1 :])
+    return None
+
+
+class TestStrayFields:
+    """two_step's one-cut proof with one node given a field its rule does
+    not read is rejected."""
+
+    @pytest.mark.parametrize(
+        "rule, change",
+        [
+            (FORALL_L, {"eigen": "e1"}),
+            (EXISTS_R, {"eigen": "e1"}),
+            (OR_L, {"eigen": "e1"}),
+            (CUT, {"eigen": "e1"}),
+            (FORALL_R, {"witness": a}),
+            (EXISTS_L, {"witness": a}),
+            (AXIOM, {"witness": a}),
+            (FORALL_R, {"keep": True}),
+            (EXISTS_L, {"keep": True}),
+            (AND_R, {"keep": True}),
+            (CUT, {"keep": True}),
+            (FORALL_L, {"cut_formula": P(a)}),
+            (AXIOM, {"cut_formula": P(a)}),
+            (AXIOM, {"principal": P(a), "side": LEFT}),
+        ],
+    )
+    def test_stray_field_rejected(self, rule, change):
+        pf = two_step()
+        proof = proof_from_eh(ExtendedHerbrandSequent(pf.problem, pf.grammar, P(Var(X), Var(Y))))
+        assert check_proof(proof).ok
+        bad = _replace_first(proof, rule, change)
+        assert bad is not None
+        report = check_proof(bad)
+        assert not report.ok
+        assert report.error.startswith(f"{rule} takes no ")
 
 
 class TestComplexities:

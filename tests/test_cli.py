@@ -3,7 +3,10 @@ import json
 import pytest
 
 from fixtures import PROBLEM_DIR
+from pi2cut.calculus import AXIOM, FORALL_L, LEFT, Node
 from pi2cut.cli import main
+from pi2cut.problem_io import parse_proof, print_proof
+from pi2cut.syntax import Atom, ForAll, Sequent, Signature, Var, const
 
 TWO_STEP = str(PROBLEM_DIR / "two_step.p2")
 SHARED = str(PROBLEM_DIR / "unsolvable_shared_base.p2")
@@ -128,18 +131,49 @@ class TestCheck:
         bad_file.write_text(tampered)
         assert main(["check", str(bad_file)]) == 3
 
+    def test_stray_field_exit_three(self, tmp_path, capsys):
+        out_file = tmp_path / "proof.sexp"
+        assert main(["solve", TWO_STEP, "--emit-proof", str(out_file)]) == 0
+        text = out_file.read_text()
+        assert main(["check", str(out_file)]) == 0
+        bad_file = tmp_path / "bad.sexp"
+        bad_file.write_text(text.replace("(rule forall-l)", "(rule forall-l) (eigen e1)", 1))
+        assert main(["check", str(bad_file)]) == 3
+        assert "forall-l takes no eigen field" in capsys.readouterr().out
+
     def test_deep_nesting_exit_two(self, tmp_path, capsys):
+        # Proof trees are read with an explicit stack, formulas recursively.
         depth = 5000
-        node = "(node (rule axiom) (sequent (left (P)) (right (P)))"
+        formula = f"{'(not ' * depth}(P){')' * depth}"
         f = tmp_path / "deep.sexp"
         f.write_text(
-            f"(proof (signature (pred P 0)) {(node + ' (premises ') * depth}{node}"
-            f"{'))' * depth}))"
+            "(proof (signature (pred P 0)) (node (rule axiom)"
+            f" (sequent (left {formula} (P)) (right (P)))))"
         )
         assert main(["check", str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: input nested too deeply")
         assert "Traceback" not in err
+
+    def test_deep_proof_prints_reads_and_checks(self, tmp_path, capsys):
+        # A valid chain of 5,000 forall-l inferences over one sequent.
+        depth = 5000
+        c = const("c")
+        fa = ForAll("x", Atom("P", (Var("x"),)))
+        top = Sequent.of([fa, Atom("P", (c,))], [Atom("P", (c,))])
+        node = Node(AXIOM, top)
+        for k in range(depth):
+            s = top if k < depth - 1 else Sequent.of([fa], [Atom("P", (c,))])
+            node = Node(FORALL_L, s, (node,), principal=fa, side=LEFT, witness=c, keep=True)
+        sig = Signature({"c": 0}, {"P": 1})
+        text = print_proof(node, sig)
+        f = tmp_path / "deep.sexp"
+        f.write_text(text)
+        assert main(["check", str(f), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["status"], data["proof-q"]) == ("ok", str(depth))
+        again, _ = parse_proof(text)
+        assert print_proof(again, sig) == text
 
     def test_garbage_exit_two(self, tmp_path):
         f = tmp_path / "junk.sexp"

@@ -1,7 +1,15 @@
+import copy
+import pickle
+import random
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gen
+from pi2cut.problem_io import parse_formula
+from pi2cut.sexpr import parse_all
 from pi2cut.syntax import (
     ALPHA,
     And,
@@ -10,11 +18,15 @@ from pi2cut.syntax import (
     Clause,
     Exists,
     ForAll,
+    Formula,
+    Imp,
     Literal,
     Not,
+    Or,
     Sequent,
     Signature,
     SyntaxError_,
+    Term,
     Var,
     X,
     Y,
@@ -26,6 +38,7 @@ from pi2cut.syntax import (
     free_vars,
     is_reserved,
     literal_normal_form,
+    literal_to_sexp,
     neg,
     pos,
     sharp_count,
@@ -243,3 +256,169 @@ class TestSignature:
         sig = Signature({"f": 1}, {"P": 2})
         with pytest.raises(SyntaxError_):
             sig.check_term(App("f", ()))
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: one object per distinct node
+
+
+def _reference_term_sexp(t):
+    """The canonical printer, uncached: the reference for the cached keys."""
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.fn
+    return "(" + " ".join([t.fn] + [_reference_term_sexp(a) for a in t.args]) + ")"
+
+
+def _reference_sexp(f):
+    if isinstance(f, Atom):
+        return "(" + " ".join([f.pred] + [_reference_term_sexp(a) for a in f.args]) + ")"
+    if isinstance(f, Not):
+        return f"(not {_reference_sexp(f.sub)})"
+    if isinstance(f, (ForAll, Exists)):
+        head = "forall" if isinstance(f, ForAll) else "exists"
+        return f"({head} {f.var} {_reference_sexp(f.body)})"
+    head = {And: "and", Or: "or", Imp: "imp"}[type(f)]
+    return f"({head} {_reference_sexp(f.left)} {_reference_sexp(f.right)})"
+
+
+def _rebuild(e):
+    """A structurally equal copy built from the fields up, through the
+    constructors and `__match_args__`."""
+    if isinstance(e, tuple):
+        return tuple(_rebuild(x) for x in e)
+    if isinstance(e, (str, bool)):
+        return e
+    return type(e)(*(_rebuild(getattr(e, name)) for name in type(e).__match_args__))
+
+
+_GEN_SIG = Signature({**gen.SIG.functions, "h": 2}, gen.SIG.predicates)
+gen_terms_st = st.recursive(
+    st.sampled_from([Var("x1"), Var("y1"), Var(ALPHA), const("c"), const("d")]),
+    lambda inner: st.one_of(
+        st.builds(gen._f, inner),
+        st.builds(gen._g, inner),
+        st.builds(lambda s, t: App("h", (s, t)), inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def formulas_st(draw):
+    """A matrix from the instance generator over generated terms, under up
+    to two quantifiers."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    args = draw(st.lists(gen_terms_st, min_size=1, max_size=4))
+    f = gen._random_matrix(rng, args, draw(st.integers(1, 5)))
+    for var in draw(st.lists(st.sampled_from(["x1", "y1", "z"]), max_size=2)):
+        f = draw(st.sampled_from([ForAll, Exists]))(var, f)
+    return f
+
+
+@st.composite
+def generated_literals_st(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    args = draw(st.lists(gen_terms_st, min_size=1, max_size=2))
+    return Literal(draw(st.booleans()), gen._random_atom(rng, args))
+
+
+nodes_st = st.one_of(formulas_st(), gen_terms_st, generated_literals_st())
+
+
+@settings(max_examples=200)
+@given(nodes_st)
+def test_rebuilt_node_is_identical(e):
+    assert _rebuild(e) is e
+
+
+@settings(max_examples=200)
+@given(formulas_st())
+def test_parse_of_print_is_identical(f):
+    [node] = parse_all(formula_to_sexp(f))
+    assert parse_formula(node, _GEN_SIG, None) is f
+
+
+@settings(max_examples=200)
+@given(formulas_st())
+def test_cached_sexp_matches_reference_printer(f):
+    assert formula_to_sexp(f) == _reference_sexp(f)
+    assert formula_to_sexp(f) == _reference_sexp(f)
+
+
+@given(generated_literals_st())
+def test_literal_sexp_and_duals(lit):
+    assert dual(dual(lit)) is lit
+    assert literal_to_sexp(lit) == _reference_sexp(lit.formula())
+    if lit.positive:
+        assert lit.formula() is lit.atom
+    else:
+        assert lit.formula() is Not(lit.atom)
+
+
+@given(nodes_st)
+def test_copies_and_pickles_are_identical(e):
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy([e, (e,)]) == [e, (e,)]
+
+
+def test_keyword_positional_and_default_construction():
+    x = Var("x")
+    assert Var(name="x") is x
+    assert App("f", (x,)) is App(fn="f", args=(x,)) is App("f", args=(x,))
+    assert App("c") is App("c", ()) is const("c")
+    assert Atom("P") is Atom(pred="P", args=())
+    p = Atom("P", (x,))
+    assert Not(sub=p) is Not(p)
+    for cls in (And, Or, Imp):
+        assert cls(left=p, right=Not(p)) is cls(p, Not(p))
+        assert cls(p, Not(p)) is not cls(Not(p), p)
+    assert ForAll(var="x", body=p) is ForAll("x", p)
+    assert Exists("x", p) is not ForAll("x", p)
+    assert Literal(positive=False, atom=p) is neg(p)
+    assert pos(p) is not neg(p)
+
+
+def test_nodes_are_immutable():
+    x = Var("x")
+    p = Atom("P", (x,))
+    nodes = [
+        (x, "name"), (App("f", (x,)), "fn"), (p, "args"), (Not(p), "sub"),
+        (And(p, p), "left"), (Or(p, p), "right"), (Imp(p, p), "left"),
+        (ForAll("x", p), "var"), (Exists("x", p), "body"), (pos(p), "positive"),
+    ]
+    for node, field in nodes:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, field, getattr(node, field))
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, field)
+        with pytest.raises(FrozenInstanceError):
+            node.other = 1
+    assert isinstance(x, Term) and isinstance(App("c"), Term)
+    assert all(isinstance(n, Formula) for n, _ in nodes[2:9])
+
+
+def test_repr_unchanged():
+    x = Var("x")
+    assert repr(App("f", (x,))) == "App(fn='f', args=(Var(name='x'),))"
+    assert repr(const("c")) == "App(fn='c', args=())"
+    assert repr(neg(Atom("P", (x, const("c"))))) == (
+        "Literal(positive=False, atom=Atom(pred='P', args=(Var(name='x'), App(fn='c', args=()))))"
+    )
+    f = ForAll("x", Exists("y", Imp(And(Atom("P"), Or(Atom("Q"), Not(Atom("R")))), Atom("P"))))
+    assert repr(f) == (
+        "ForAll(var='x', body=Exists(var='y', body=Imp(left=And(left=Atom(pred='P', args=()), "
+        "right=Or(left=Atom(pred='Q', args=()), right=Not(sub=Atom(pred='R', args=())))), "
+        "right=Atom(pred='P', args=()))))"
+    )
+
+
+def test_match_args():
+    match Literal(False, Atom("P", (Var("x"),))):
+        case Literal(False, Atom("P", (Var(name),))):
+            assert name == "x"
+        case _:
+            pytest.fail("literal did not match its fields")
