@@ -300,11 +300,11 @@ def print_sequent(s: Sequent) -> str:
     return f"(sequent {lpart} {rpart})"
 
 
-# Premises indent two levels deeper than their conclusion, down to this
-# node depth; deeper nodes keep its indentation, so that the text of a
-# deep proof grows linearly with its size.  No proof the package builds
-# for its benchmark family comes near it (the cut-free proof of S_3 is
-# 109 nodes deep).
+# Premises indent two levels deeper than their conclusion down to this
+# node depth, and deeper nodes keep that indentation, so that the text of
+# a deep proof grows linearly with its depth, not quadratically.  The
+# deepest proof the benchmark prints, the cut-free proof of S_3, is 109
+# nodes deep.
 _INDENT_DEPTH = 128
 
 
@@ -438,18 +438,18 @@ def _parse_node(root: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
     """A proof tree, read with an explicit stack so that deep proofs do not
     exhaust the call stack.  A node is built once all its premises are."""
     built: list[Node] = []
-    stack: list[tuple[SNode, tuple[dict[str, object], int] | None]] = [(root, None)]
+    stack: list[SNode | tuple[dict[str, object], int]] = [root]
     while stack:
-        node, read = stack.pop()
-        if read is None:
-            fields, premises = _read_node(node, sig, memo)
-            stack.append((node, (fields, len(premises))))
-            stack.extend((p, None) for p in reversed(premises))
-            continue
-        fields, count = read
-        premises_built = tuple(built[len(built) - count :])
-        del built[len(built) - count :]
-        built.append(Node(premises=premises_built, **fields))  # type: ignore[arg-type]
+        item = stack.pop()
+        if isinstance(item, tuple):
+            fields, count = item
+            premises = tuple(built[len(built) - count :])
+            del built[len(built) - count :]
+            built.append(Node(premises=premises, **fields))  # type: ignore[arg-type]
+        else:
+            fields, forms = _read_node(item, sig, memo)
+            stack.append((fields, len(forms)))
+            stack.extend(reversed(forms))
     return built[0]
 
 

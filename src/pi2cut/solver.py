@@ -382,8 +382,6 @@ def _leaf_literals(sehs: Sehs) -> tuple[set[Literal], frozenset[Literal]]:
     """The distinct literals of the leaves' A and N sides, and the distinct
     duals of the literals of their B and N sides."""
     leaves = sehs.leaves
-    # Set unions reuse the members' stored hashes; a comprehension would
-    # hash every literal of every leaf again.
     lefts = set().union(*(l.a_part for l in leaves), *(l.n_part for l in leaves))
     rights = set().union(*(l.b_part for l in leaves), *(l.n_part for l in leaves))
     return lefts, dual_set(rights)
