@@ -33,8 +33,8 @@ DIGESTS = GOLDEN / "proof_digests.json"
 
 PROBLEMS = sorted(p.stem for p in PROBLEM_DIR.glob("*.p2"))
 POOLS = ("gstar", "naive")
-BENCH_N = range(2, 7)
-CUT_N = range(2, 7)
+BENCH_N = range(2, 8)
+CUT_N = range(2, 8)
 CUTFREE_N = (2, 3)
 
 
