@@ -95,13 +95,15 @@ class Node:
 
 Policy = Callable[[Sequent, Sequence[tuple[str, Formula]]], int]
 
+_CONNECTIVES = frozenset({Not, And, Or, Imp})
+
 
 def _candidates(
     left: Iterable[Formula], right: Iterable[Formula]
 ) -> list[tuple[str, Formula]]:
     """The compound formulas of both sides, canonically least first."""
-    out = [(LEFT, f) for f in left if not isinstance(f, (Atom, ForAll, Exists))]
-    out += [(RIGHT, f) for f in right if not isinstance(f, (Atom, ForAll, Exists))]
+    out = [(LEFT, f) for f in left if type(f) in _CONNECTIVES]
+    out += [(RIGHT, f) for f in right if type(f) in _CONNECTIVES]
     out.sort(key=lambda c: (formula_key(c[1]), c[0]))
     return out
 
@@ -178,19 +180,21 @@ def _expand(s: Sequent, stop_at_axiom: bool, policy: Policy | None) -> Node:
     return Node(rule, s, subs, principal=f, side=side)
 
 
+def _require_quantifier_free(s: Sequent) -> None:
+    for f in s.left | s.right:
+        if not is_quantifier_free(f):
+            raise SyntaxError_(f"quantifier in {formula_to_sexp(f)}")
+
+
 def maximal_derivation(s: Sequent) -> Node:
     """Exhaustively apply the invertible propositional rules, always
     decomposing the canonically least compound formula first.
 
-    That order is part of the definition of `Sehs.leaves`: sides are sets,
-    so a formula that an earlier branching rule already split can merge
-    with a copy of itself, and another order can leave a different
-    non-tautological leaf set (each extra leaf a superset of a canonical
-    one).
+    This is the reference tree: `non_tautological_leaves` computes its
+    non-tautological leaves without building it, and the tagged walk and
+    the tautology oracle are tested against it.
     """
-    for f in s.left | s.right:
-        if not is_quantifier_free(f):
-            raise SyntaxError_(f"quantifier in {formula_to_sexp(f)}")
+    _require_quantifier_free(s)
     return _expand(s, stop_at_axiom=False, policy=None)
 
 
@@ -217,8 +221,35 @@ def prop_proof(s: Sequent) -> Node:
     return _expand(s, stop_at_axiom=True, policy=_greedy_pick)
 
 
-def non_tautological_leaves(d: Node) -> frozenset[Sequent]:
-    return frozenset(n.sequent for n in d.leaves() if n.rule == NON_TAUT_LEAF)
+def non_tautological_leaves(s: Sequent) -> frozenset[Sequent]:
+    """The `non-taut-leaf` sequents of `maximal_derivation(s)`, walked with
+    an explicit stack and without building the tree.
+
+    The walk decomposes the same canonically least compound formula first.
+    That order is part of the definition of `Sehs.leaves`: sides are sets,
+    so a formula that an earlier branching rule already split can merge
+    with a copy of itself, and another order can leave a different
+    non-tautological leaf set (each extra leaf a superset of a canonical
+    one).
+
+    A branch is dropped as soon as its two sides share an atom.  Every
+    propositional rule removes only its compound principal and adds its
+    subformulas, so an atom never leaves a side: every leaf below such a
+    branch shares that atom and is an axiom.
+    """
+    _require_quantifier_free(s)
+    out = set()
+    stack = [s]
+    while stack:
+        seq = stack.pop()
+        if seq.shares_atom():
+            continue
+        cands = _candidates(seq.left, seq.right)
+        if cands:
+            stack.extend(premises_of(seq, *cands[0])[1])
+        else:
+            out.add(seq)
+    return frozenset(out)
 
 
 # Tagged variant: which closing atoms of a derivation descend from a

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .calculus import is_tautology, maximal_derivation, non_tautological_leaves
+from .calculus import is_tautology, non_tautological_leaves
+# Unused here; stays importable because perfbench/tracer.py wraps solver.maximal_derivation.
+from .calculus import maximal_derivation  # noqa: F401
 # Unused here; stays importable because perfbench/tracer.py wraps solver.tagged_leaves.
 from .calculus import tagged_leaves  # noqa: F401
 from .grammar import (
@@ -59,7 +61,6 @@ from .syntax import (
     dual_set,
     free_vars,
     literal_key,
-    literal_normal_form,
     substitute_literal,
 )
 
@@ -172,22 +173,20 @@ def build_sehs(
 
 
 def partitioned_dnta(sehs: Sehs) -> frozenset[PartitionedLeaf]:
-    """Non-tautological leaves of a maximal derivation of the reduced
-    representation, in literal normal form, split by eigenvariable use."""
-    rr = sehs.reduced_representation()
-    betas = set(sehs.grammar.beta_vars())
-    leaves = non_tautological_leaves(maximal_derivation(rr))
+    """The non-tautological leaves of the maximal derivation of the
+    reduced representation, each read as one set of antecedent literals
+    (succedent atoms negated, antecedent atoms positive) and split by
+    eigenvariable use: atoms with ``alpha`` free go to the a-part, atoms
+    with some ``bj`` free to the b-part, the rest to the n-part."""
+    betas = frozenset(sehs.grammar.beta_vars())
     out = set()
-    # The part (0 alpha, 1 beta, 2 neither) of each distinct atom.
-    part_of: dict[Atom, int] = {}
-    for leaf in leaves:
+    for leaf in non_tautological_leaves(sehs.reduced_representation()):
         parts: tuple[set[Literal], ...] = (set(), set(), set())
-        for lit in literal_normal_form(leaf):
-            idx = part_of.get(lit.atom)
-            if idx is None:
-                vs = free_vars(lit.atom)
-                idx = part_of[lit.atom] = 0 if ALPHA in vs else 1 if vs & betas else 2
-            parts[idx].add(lit)
+        for positive, atoms in ((False, leaf.right), (True, leaf.left)):
+            for atom in atoms:
+                vs = free_vars(atom)
+                idx = 0 if ALPHA in vs else 1 if not betas.isdisjoint(vs) else 2
+                parts[idx].add(Literal(positive, atom))  # type: ignore[arg-type]
         out.add(PartitionedLeaf(*map(frozenset, parts)))
     return frozenset(out)
 

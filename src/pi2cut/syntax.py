@@ -50,7 +50,8 @@ class SyntaxError_(Exception):
 # keeps one table from field tuple to node and returns the existing node
 # when there is one, so structurally equal nodes are one object, and
 # equality and hashing are the default identity versions.  Each node also
-# keeps its canonical s-expression once printed.
+# keeps its canonical s-expression once printed and, for terms and
+# formulas, its free variables once computed.
 #
 # The tables are deliberate module-level state.  They hold every distinct
 # node for the life of the process (the command line runs one process per
@@ -73,9 +74,10 @@ _LITERALS: dict[tuple[bool, Atom], Literal] = {}
 
 class _Interned:
     """Immutable node built once per distinct field tuple.  `_key` holds
-    the canonical s-expression once printed, None before."""
+    the canonical s-expression once printed, `_fv` the free variables
+    once computed; each is None before."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_fv")
     __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -100,6 +102,7 @@ def _pair(table: dict[Any, Any], cls: type, key: tuple[Any, Any], first: str, se
     _set(node, first, key[0])
     _set(node, second, key[1])
     _set(node, "_key", None)
+    _set(node, "_fv", None)
     table[key] = node
     return node
 
@@ -123,6 +126,7 @@ class Var(Term):
             node = _VARS[name] = _new(cls)
             _set(node, "name", name)
             _set(node, "_key", name)
+            _set(node, "_fv", None)
         return node
 
 
@@ -177,6 +181,7 @@ class Not(Formula):
             node = _NOTS[sub] = _new(cls)
             _set(node, "sub", sub)
             _set(node, "_key", None)
+            _set(node, "_fv", None)
         return node
 
 
@@ -326,25 +331,27 @@ Substitution = Mapping[str, Term]
 
 
 def free_vars(e: Term | Formula) -> frozenset[str]:
+    """The variables free in a term or formula, computed once per node."""
+    if not isinstance(e, (Term, Formula)):
+        raise SyntaxError_(f"not a term or formula: {e!r}")
+    fv = e._fv
+    if fv is None:
+        fv = _compute_free_vars(e)
+        _set(e, "_fv", fv)
+    return fv
+
+
+def _compute_free_vars(e: Term | Formula) -> frozenset[str]:
     if isinstance(e, Var):
         return frozenset((e.name,))
-    if isinstance(e, App):
-        out: frozenset[str] = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, Atom):
-        out = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
+    if isinstance(e, (App, Atom)):
+        return frozenset().union(*map(free_vars, e.args))
     if isinstance(e, Not):
         return free_vars(e.sub)
     if isinstance(e, (And, Or, Imp)):
         return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, (ForAll, Exists)):
-        return free_vars(e.body) - {e.var}
-    raise SyntaxError_(f"not a term or formula: {e!r}")
+    assert isinstance(e, (ForAll, Exists))
+    return free_vars(e.body) - {e.var}
 
 
 def substitute_term(t: Term, sub: Substitution) -> Term:
@@ -442,18 +449,6 @@ class Sequent:
 
     def shares_atom(self) -> bool:
         return any(isinstance(f, Atom) for f in self.left & self.right)
-
-
-def literal_normal_form(s: Sequent) -> tuple[Literal, ...]:
-    """Rewrite an atomic sequent into one list of antecedent literals:
-    succedent atoms come first, negated; antecedent atoms follow, positive.
-    """
-    for f in s.left | s.right:
-        if not isinstance(f, Atom):
-            raise SyntaxError_(f"non-atomic formula in sequent: {formula_to_sexp(f)}")
-    negated = sorted((neg(a) for a in s.right), key=literal_key)  # type: ignore[misc]
-    kept = sorted((pos(a) for a in s.left), key=literal_key)  # type: ignore[misc]
-    return tuple(negated) + tuple(kept)
 
 
 # ---------------------------------------------------------------------------

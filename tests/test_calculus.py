@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fixtures import load, two_step
+from fixtures import PROBLEM_DIR, load, two_step
 from pi2cut.calculus import (
     AND_R,
     AXIOM,
@@ -28,6 +28,7 @@ from pi2cut.calculus import (
     symbol_count,
     tagged_leaves,
 )
+from pi2cut.benchmark import generate_sn
 from pi2cut.herbrand import ExtendedHerbrandSequent, proof_from_eh
 from pi2cut.solver import build_sehs
 from pi2cut.syntax import (
@@ -69,7 +70,7 @@ class TestMaximalDerivation:
     def test_shared_base_leaves(self):
         pf = load("unsolvable_shared_base.p2")
         _, rr = build_sehs(pf.problem, pf.grammar)
-        leaves = non_tautological_leaves(maximal_derivation(rr))
+        leaves = non_tautological_leaves(rr)
         alpha = Var(ALPHA)
         t1 = App("t1", (alpha,))
         t2 = App("t2", (alpha,))
@@ -84,11 +85,63 @@ class TestMaximalDerivation:
         s = Sequent.of([P(a)], [P(a), Q(a)])
         d = maximal_derivation(s)
         assert d.rule == AXIOM
-        assert not list(non_tautological_leaves(d))
+        assert not list(non_tautological_leaves(s))
 
     def test_rejects_quantifiers(self):
         with pytest.raises(SyntaxError_):
             maximal_derivation(Sequent.of([ForAll("v", P(Var("v")))], []))
+
+
+def reference_leaves(s: Sequent) -> frozenset[Sequent]:
+    """The non-tautological leaves read off the full maximal derivation."""
+    return frozenset(n.sequent for n in maximal_derivation(s).leaves() if n.rule == NON_TAUT_LEAF)
+
+
+class TestNonTautologicalLeaves:
+    """The leaf walk that stops at the first shared atom against the full tree."""
+
+    def test_random_sequents_match_the_tree(self):
+        # The sequents of acceptance criterion 09.
+        rng = random.Random(60_000)
+        for i in range(1000):
+            s = random_sequent(rng)
+            assert non_tautological_leaves(s) == reference_leaves(s), f"case {i}"
+
+    def test_bundled_reduced_representations_match_the_tree(self):
+        for path in sorted(PROBLEM_DIR.glob("*.p2")):
+            pf = load(path.name)
+            _, rr = build_sehs(pf.problem, pf.grammar)
+            assert non_tautological_leaves(rr) == reference_leaves(rr), path.name
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_benchmark_family_matches_the_tree(self, n):
+        sn = generate_sn(n)
+        _, rr = build_sehs(sn.problem, sn.grammar)
+        leaves = non_tautological_leaves(rr)
+        assert leaves
+        assert leaves == reference_leaves(rr)
+
+    def test_leaves_are_atomic(self):
+        rng = random.Random(61_000)
+        for _ in range(200):
+            for leaf in non_tautological_leaves(random_sequent(rng)):
+                assert all(isinstance(f, Atom) for f in leaf.left | leaf.right)
+                assert not leaf.left & leaf.right
+
+    def test_compound_formula_is_decomposed(self):
+        b = const("b")
+        s = Sequent.of([And(P(a), P(b))], [Q(a)])
+        assert non_tautological_leaves(s) == {Sequent.of([P(a), P(b)], [Q(a)])}
+
+    def test_empty_sequent(self):
+        empty = Sequent.of([], [])
+        assert non_tautological_leaves(empty) == {empty}
+
+    def test_rejects_quantifiers(self):
+        with pytest.raises(SyntaxError_):
+            non_tautological_leaves(Sequent.of([P(a)], [Exists("v", Q(Var("v")))]))
+        with pytest.raises(SyntaxError_):
+            non_tautological_leaves(Sequent.of([Not(ForAll("v", P(Var("v"))))], []))
 
 
 class TestIsTautology:
@@ -130,7 +183,7 @@ def test_tautology_oracle_equivalence():
     rng = random.Random(1234)
     for _ in range(300):
         s = random_sequent(rng)
-        via_leaves = not non_tautological_leaves(maximal_derivation(s))
+        via_leaves = not non_tautological_leaves(s)
         assert is_tautology(s) == via_leaves
 
 

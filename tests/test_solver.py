@@ -43,6 +43,7 @@ from pi2cut.syntax import (
     App,
     Atom,
     Imp,
+    Literal,
     Var,
     clause_key,
     conj,
@@ -94,7 +95,73 @@ class TestBuildSehs:
         assert sehs.term_set == terms
 
 
+def reference_partition(sehs) -> tuple[PartitionedLeaf, ...]:
+    """`Sehs.leaves` computed the long way: the non-tautological leaves of
+    the full maximal derivation, each rewritten into antecedent literals
+    (succedent atoms negated) and split by the eigenvariables free in the
+    atom, in canonical order."""
+    from pi2cut.calculus import NON_TAUT_LEAF, maximal_derivation
+
+    betas = set(sehs.grammar.beta_vars())
+    out = set()
+    for node in maximal_derivation(sehs.reduced_representation()).leaves():
+        if node.rule != NON_TAUT_LEAF:
+            continue
+        lits = [Literal(False, a) for a in node.sequent.right]
+        lits += [Literal(True, a) for a in node.sequent.left]
+        parts = (set(), set(), set())
+        for l in lits:
+            vs = free_vars(l.atom)
+            parts[0 if ALPHA in vs else 1 if vs & betas else 2].add(l)
+        out.add(PartitionedLeaf(*map(frozenset, parts)))
+    return tuple(sorted(out, key=PartitionedLeaf.key))
+
+
 class TestPartitionedDnta:
+    def test_leaves_match_the_reference_split(self):
+        import random
+
+        from fixtures import PROBLEM_DIR, load
+        from gen import random_sehs
+        from pi2cut.benchmark import generate_sn
+
+        problems = [load(p.name) for p in sorted(PROBLEM_DIR.glob("*.p2"))]
+        problems += [generate_sn(n) for n in range(2, 7)]
+        cases = [build_sehs(pf.problem, pf.grammar)[0] for pf in problems]
+        # Random grammar sequents from the property-test generator.
+        cases += [
+            random_sehs(random.Random(seed), rich=seed % 2 == 0, max_leaves=8) for seed in range(60)
+        ]
+        for sehs in cases:
+            assert sehs.leaves == reference_partition(sehs)
+
+    def test_succedent_negated_antecedent_positive(self):
+        pf = shared_base()
+        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        r, b1, b2 = const("r"), Var("b1"), Var("b2")
+        a_part = frozenset({lit("P", alpha, t1(alpha)), lit("Q", alpha, t2(alpha))})
+        assert partitioned_dnta(sehs) == {
+            PartitionedLeaf(a_part, frozenset({nlit("P", r, b1)}), frozenset()),
+            PartitionedLeaf(a_part, frozenset({nlit("Q", r, b2)}), frozenset()),
+        }
+
+    def test_every_leaf_atom_kept_once(self):
+        from pi2cut.benchmark import generate_sn
+        from pi2cut.calculus import non_tautological_leaves
+
+        sn = generate_sn(3)
+        sehs, rr = build_sehs(sn.problem, sn.grammar)
+        by_atoms = {
+            leaf.left | leaf.right: (leaf.left, leaf.right) for leaf in non_tautological_leaves(rr)
+        }
+        assert len(by_atoms) == len(sehs.leaves)
+        for pl in sehs.leaves:
+            lits = pl.literals()
+            left, right = by_atoms[frozenset(l.atom for l in lits)]
+            assert len(lits) == len(left) + len(right)
+            assert {l.atom for l in lits if l.positive} == left
+            assert {l.atom for l in lits if not l.positive} == right
+
     def test_swap_pair_leaves(self):
         pf = swap_pair()
         sehs, _ = build_sehs(pf.problem, pf.grammar)

@@ -23,7 +23,6 @@ from pi2cut.syntax import (
     Literal,
     Not,
     Or,
-    Sequent,
     Signature,
     SyntaxError_,
     Term,
@@ -37,7 +36,6 @@ from pi2cut.syntax import (
     formula_to_sexp,
     free_vars,
     is_reserved,
-    literal_normal_form,
     literal_to_sexp,
     neg,
     pos,
@@ -116,32 +114,6 @@ class TestDuals:
     def test_dual_set(self):
         lits = {pos(P(a, b)), neg(P(b, c))}
         assert dual_set(lits) == {neg(P(a, b)), pos(P(b, c))}
-
-
-class TestLiteralNormalForm:
-    def test_succedent_negated_and_prepended(self):
-        s = Sequent.of([P(a, b), P(b, c)], [P(c, a)])
-        lits = literal_normal_form(s)
-        assert lits[0] == neg(P(c, a))
-        assert set(lits[1:]) == {pos(P(a, b)), pos(P(b, c))}
-
-    def test_empty_sequent(self):
-        assert literal_normal_form(Sequent.of([], [])) == ()
-
-    def test_mixed(self):
-        s = Sequent.of([P(Var(ALPHA), a)], [P(const("r1"), Var("b1"))])
-        lits = literal_normal_form(s)
-        assert lits == (neg(P(const("r1"), Var("b1"))), pos(P(Var(ALPHA), a)))
-
-    def test_rejects_compound(self):
-        with pytest.raises(SyntaxError_):
-            literal_normal_form(Sequent.of([And(P(a, b), P(b, c))], []))
-
-    def test_atom_multiset_preserved(self):
-        s = Sequent.of([P(a, b)], [P(b, c), P(c, a)])
-        lits = literal_normal_form(s)
-        assert {l.atom for l in lits} == {P(a, b), P(b, c), P(c, a)}
-        assert len(lits) == 3
 
 
 class TestDnf:
@@ -345,6 +317,26 @@ def test_parse_of_print_is_identical(f):
 def test_cached_sexp_matches_reference_printer(f):
     assert formula_to_sexp(f) == _reference_sexp(f)
     assert formula_to_sexp(f) == _reference_sexp(f)
+
+
+def _reference_free_vars(e):
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, (App, Atom)):
+        return set().union(*map(_reference_free_vars, e.args))
+    if isinstance(e, Not):
+        return _reference_free_vars(e.sub)
+    if isinstance(e, (ForAll, Exists)):
+        return _reference_free_vars(e.body) - {e.var}
+    return _reference_free_vars(e.left) | _reference_free_vars(e.right)
+
+
+@settings(max_examples=200)
+@given(st.one_of(formulas_st(), gen_terms_st))
+def test_cached_free_vars_match_reference(e):
+    first = free_vars(e)
+    assert first == _reference_free_vars(e)
+    assert free_vars(_rebuild(e)) is first
 
 
 @given(generated_literals_st())
