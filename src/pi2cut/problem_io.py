@@ -10,6 +10,7 @@ bit-exactly after one normalisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import calculus
 from .calculus import Node
@@ -167,15 +168,26 @@ def _print_signature(sig: Signature, pad: str) -> list[str]:
     return lines
 
 
+def _named_lists(nodes: Iterable[SNode], what: str, names: tuple[str, ...]) -> dict[str, SList]:
+    """Lists keyed by their head, each head one of `names` and used once."""
+    out: dict[str, SList] = {}
+    for node in nodes:
+        lst = expect_list(node, what)
+        head = head_of(lst, what)
+        if head not in names or head in out:
+            kind = "duplicate" if head in out else "unknown"
+            raise ParseError(f"{kind} {what} '{head}'", lst.line, lst.col)
+        out[head] = lst
+    return out
+
+
+_SECTIONS = ("signature", "forall-vars", "exists-vars", "antecedent", "succedent", "grammar")
+_GRAMMAR_PARTS = ("f-tuples", "g-tuples", "r-terms", "t-terms")
+
+
 def parse_problem(text: str) -> ProblemFile:
-    sections: dict[str, SList] = {}
-    for node in parse_all(text):
-        lst = expect_list(node, "section")
-        head = head_of(lst, "section")
-        if head in sections:
-            raise ParseError(f"duplicate section '{head}'", lst.line, lst.col)
-        sections[head] = lst
-    for required in ("signature", "forall-vars", "exists-vars", "antecedent", "succedent", "grammar"):
+    sections = _named_lists(parse_all(text), "section", _SECTIONS + ("herbrand-terms",))
+    for required in _SECTIONS:
         if required not in sections:
             raise ParseError(f"missing section '{required}'", 1, 1)
 
@@ -207,11 +219,8 @@ def parse_problem(text: str) -> ProblemFile:
         raise ParseError(str(e), 1, 1)
 
     gsec = sections["grammar"]
-    parts: dict[str, SList] = {}
-    for item in gsec.items[1:]:
-        lst = expect_list(item, "grammar part")
-        parts[head_of(lst, "grammar part")] = lst
-    for required in ("f-tuples", "g-tuples", "r-terms", "t-terms"):
+    parts = _named_lists(gsec.items[1:], "grammar part", _GRAMMAR_PARTS)
+    for required in _GRAMMAR_PARTS:
         if required not in parts:
             raise ParseError(f"grammar is missing '{required}'", gsec.line, gsec.col)
     r_nodes = parts["r-terms"].items[1:]
@@ -273,8 +282,12 @@ def parse_starting_set(text: str, sig: Signature) -> frozenset[Clause]:
         stripped = raw.split(";")[0].strip()
         if not stripped:
             continue
-        nodes = parse_all(stripped)
-        lits = [parse_literal(n, sig, {X, Y}) for n in nodes]
+        try:
+            lits = [parse_literal(n, sig, {X, Y}) for n in parse_all(stripped)]
+        except ParseError as e:
+            # Each line is read on its own; report the position in the file.
+            lead = len(raw) - len(raw.lstrip())
+            raise ParseError(e.message, lineno, e.col + lead) from None
         if not lits:
             continue
         clauses.append(frozenset(lits))

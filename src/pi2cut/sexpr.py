@@ -27,6 +27,7 @@ _PIECE = re.compile(r"[ \t\r\n]+|(?:[()]|;[^\n]*|[^ \t\r\n();]+)[ \t\r\n]*")
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

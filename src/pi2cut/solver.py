@@ -1,13 +1,13 @@
 """Search for a cut matrix that turns instance data into a one-cut proof.
 
 Pipeline: the end-sequent instances of a schematic grammar form a reduced
-representation; its non-tautological leaves, rewritten into one-sided
-literal form, split into the literals touching ``alpha`` (A), those
-touching some ``bj`` (B) and the neutral rest (N).  Candidate matrices
-are disjunctive normal forms over clause sets drawn from a starting set;
-two closure filters prune clause sets that cannot close every leaf, the
-survivors are verified outright, and a verified clause set is rendered
-into a checked proof with a single cut.
+representation; each of its non-tautological leaves is one set of
+antecedent literals (succedent atoms negated), and one index maps each
+literal to the leaves that hold it.  Candidate matrices are disjunctive
+normal forms over clause sets drawn from a starting set; two closure
+filters, set operations over that index, prune clause sets that cannot
+close every leaf, the survivors are verified outright, and a verified
+clause set is rendered into a checked proof with a single cut.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ from .syntax import (
     Y,
     beta,
     clause_key,
-    clause_set_key,
     dnf_of,
-    dual_set,
+    dual,
     free_vars,
     literal_key,
     substitute_literal,
@@ -124,28 +123,16 @@ class Sehs:
         return midsequent(self.problem, HerbrandInstanceSet(g.f_tuples, g.g_tuples))
 
     @cached_property
-    def leaves(self) -> tuple[PartitionedLeaf, ...]:
-        """The partitioned leaves in canonical order, computed once."""
-        return tuple(sorted(partitioned_dnta(self), key=PartitionedLeaf.key))
+    def leaves(self) -> tuple[frozenset[Literal], ...]:
+        """The leaves' literal sets in canonical order (by their sorted
+        literal keys), computed once."""
+        return tuple(sorted(partitioned_dnta(self), key=lambda l: sorted(map(literal_key, l))))
 
     @cached_property
     def ctx(self) -> _Ctx:
         """The closure tests over `leaves`, shared by the filters, the
         search and the balance test."""
         return _Ctx(self)
-
-
-@dataclass(frozen=True)
-class PartitionedLeaf:
-    a_part: frozenset[Literal]
-    b_part: frozenset[Literal]
-    n_part: frozenset[Literal]
-
-    def literals(self) -> frozenset[Literal]:
-        return self.a_part | self.b_part | self.n_part
-
-    def key(self) -> tuple[str, ...]:
-        return tuple(sorted(map(literal_key, self.literals())))
 
 
 def build_sehs(
@@ -172,23 +159,19 @@ def build_sehs(
     return sehs, sehs.reduced_representation()
 
 
-def partitioned_dnta(sehs: Sehs) -> frozenset[PartitionedLeaf]:
+def partitioned_dnta(sehs: Sehs) -> frozenset[frozenset[Literal]]:
     """The non-tautological leaves of the maximal derivation of the
-    reduced representation, each read as one set of antecedent literals
-    (succedent atoms negated, antecedent atoms positive) and split by
-    eigenvariable use: atoms with ``alpha`` free go to the a-part, atoms
-    with some ``bj`` free to the b-part, the rest to the n-part."""
-    betas = frozenset(sehs.grammar.beta_vars())
-    out = set()
-    for leaf in non_tautological_leaves(sehs.reduced_representation()):
-        parts: tuple[set[Literal], ...] = (set(), set(), set())
-        for positive, atoms in ((False, leaf.right), (True, leaf.left)):
-            for atom in atoms:
-                vs = free_vars(atom)
-                idx = 0 if ALPHA in vs else 1 if not betas.isdisjoint(vs) else 2
-                parts[idx].add(Literal(positive, atom))  # type: ignore[arg-type]
-        out.add(PartitionedLeaf(*map(frozenset, parts)))
-    return frozenset(out)
+    reduced representation, each read as one set of antecedent literals:
+    succedent atoms negated, antecedent atoms positive.  No A/B/N split is
+    stored (`_Ctx` reads it from free variables); the name stays because
+    ``perfbench/tracer.py`` times this stage under it."""
+    return frozenset(
+        frozenset(
+            [Literal(False, a) for a in leaf.right]  # type: ignore[arg-type]
+            + [Literal(True, a) for a in leaf.left]  # type: ignore[arg-type]
+        )
+        for leaf in non_tautological_leaves(sehs.reduced_representation())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +179,9 @@ def partitioned_dnta(sehs: Sehs) -> frozenset[PartitionedLeaf]:
 
 
 class _Ctx:
+    """The closure tests over one `Sehs`'s leaves: set operations on leaf
+    bit masks, read from one index of the leaves that hold each literal."""
+
     def __init__(self, sehs: Sehs):
         self.leaves = sehs.leaves
         g = sehs.grammar
@@ -203,10 +189,7 @@ class _Ctx:
         self.p = g.p
         self.r_terms = g.r_terms
         self.t_terms = g.t_terms
-        self.dual_b = [dual_set(l.b_part) for l in self.leaves]
-        self.dual_n = [dual_set(l.n_part) for l in self.leaves]
         self._alpha_t: dict[tuple[Literal, int], Literal] = {}
-        self._allowed: dict[tuple[int, frozenset[Literal]], bool] = {}
         self.all_leaves = (1 << len(self.leaves)) - 1
         self._atom_ids: dict[Atom, int] = {}
         self._cl_pick: dict[tuple[Clause, int], tuple[int, frozenset[int]]] = {}
@@ -216,7 +199,7 @@ class _Ctx:
     def _holders(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for idx, leaf in enumerate(self.leaves):
-            for lit in leaf.literals():
+            for lit in leaf:
                 n = self.lit_id(lit)
                 out[n] = out.get(n, 0) | 1 << idx
         return out
@@ -236,19 +219,22 @@ class _Ctx:
             )
         return self._alpha_t[key]
 
-    def allowed(self, leaf_idx: int, literals: frozenset[Literal]) -> bool:
-        """Can the whole set instantiate into the leaf's alpha part under
-        one common existential witness term?"""
-        key = (leaf_idx, literals)
-        if key not in self._allowed:
-            leaf = self.leaves[leaf_idx]
-            ok = False
-            for i in range(self.p):
-                if all(self.alpha_t(l, i) in leaf.a_part for l in literals):
-                    ok = True
+    def witness_mask(self, lits: Sequence[Literal]) -> int:
+        """T2': the mask of the leaves whose A part holds the alpha instance
+        of every one of the literals under one common existential witness.
+        An instance lies in a leaf's A part when the leaf holds it and it
+        has ``alpha`` free."""
+        out = 0
+        for i in range(self.p):
+            mask = self.all_leaves
+            for l in lits:
+                inst = self.alpha_t(l, i)
+                if ALPHA not in free_vars(inst.atom):
+                    mask = 0
                     break
-            self._allowed[key] = ok
-        return self._allowed[key]
+                mask &= self._holders.get(self.lit_id(inst), 0)
+            out |= mask
+        return out
 
     def lit_id(self, lit: Literal) -> int:
         """A signed number per literal: its atom's number, negated when the
@@ -258,20 +244,16 @@ class _Ctx:
 
     def cl_pick(self, clause: Clause, j: int) -> tuple[int, frozenset[int]]:
         """The clause picked for the j-th universal witness: the mask of the
-        leaves it closes by T1 or T2, and the ids of its instance."""
+        leaves it closes by T1 or T2, and the ids of its instance.  The
+        instance has no ``alpha`` free (r-terms are over the b-variables),
+        so a dual of it lies in a leaf's B or N part exactly when the leaf
+        holds that dual."""
         key = (clause, j)
         hit = self._cl_pick.get(key)
         if hit is None:
-            r = self.r_terms[j]
-            x_only = [substitute_literal(l, {X: r}) for l in clause]
-            inst = [substitute_literal(l, {X: r, Y: Var(beta(j + 1))}) for l in clause]
-            mask = 0
-            for idx in range(len(self.leaves)):
-                if any(l in self.dual_n[idx] for l in x_only) or any(
-                    l in self.dual_b[idx] for l in inst
-                ):
-                    mask |= 1 << idx
-            hit = self._cl_pick[key] = (mask, frozenset(map(self.lit_id, inst)))
+            sub = {X: self.r_terms[j], Y: Var(beta(j + 1))}
+            ids = frozenset(self.lit_id(substitute_literal(l, sub)) for l in clause)
+            hit = self._cl_pick[key] = (self.holding(-n for n in ids), ids)
         return hit
 
     def sol_picks(self, clause: Clause) -> list[tuple[int, frozenset[int]]]:
@@ -282,14 +264,12 @@ class _Ctx:
         if hit is None:
             hit = []
             for pick in itertools.product(sorted(clause, key=literal_key), repeat=self.p):
-                lits = frozenset(pick)
-                y_only = [substitute_literal(l, {Y: t}) for l, t in zip(pick, self.t_terms)]
-                mask = 0
-                for idx, leaf in enumerate(self.leaves):
-                    if any(l in leaf.n_part for l in y_only) or self.allowed(idx, lits):
-                        mask |= 1 << idx
-                ids = frozenset(self.lit_id(self.alpha_t(l, i)) for i, l in enumerate(pick))
-                hit.append((mask, ids))
+                insts = [self.alpha_t(l, i) for i, l in enumerate(pick)]
+                # T1': an instance without alpha lies in a leaf's N part
+                # exactly when the leaf holds it.
+                neutral = (self.lit_id(a) for a in insts if ALPHA not in free_vars(a.atom))
+                mask = self.holding(neutral) | self.witness_mask(pick)
+                hit.append((mask, frozenset(map(self.lit_id, insts))))
             self._sol_picks[clause] = hit
         return hit
 
@@ -346,11 +326,7 @@ def sol_filter(candidates: Iterable[ClauseSet], sehs: Sehs) -> frozenset[ClauseS
     """Members of the universal-side filter that also survive the
     existential-side filter."""
     ctx = sehs.ctx
-    out = []
-    for cs in sorted(candidates, key=clause_set_key):
-        if _passes_sol(sorted(cs, key=clause_key), ctx):
-            out.append(cs)
-    return frozenset(out)
+    return frozenset(cs for cs in candidates if _passes_sol(sorted(cs, key=clause_key), ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +354,19 @@ def _generalise(lit: Literal, sys: GStarSystem, pool: str) -> frozenset[Literal]
 
 
 def _leaf_literals(sehs: Sehs) -> tuple[set[Literal], frozenset[Literal]]:
-    """The distinct literals of the leaves' A and N sides, and the distinct
-    duals of the literals of their B and N sides."""
-    leaves = sehs.leaves
-    lefts = set().union(*(l.a_part for l in leaves), *(l.n_part for l in leaves))
-    rights = set().union(*(l.b_part for l in leaves), *(l.n_part for l in leaves))
-    return lefts, dual_set(rights)
+    """The distinct leaf literals of the A and N classes, and the duals of
+    those of the B and N classes.  A literal is in A when ``alpha`` is
+    free in it, in B when some ``bj`` is and ``alpha`` is not, else in N."""
+    betas = frozenset(sehs.grammar.beta_vars())
+    lefts: set[Literal] = set()
+    rights: set[Literal] = set()
+    for lit in set().union(*sehs.leaves):
+        vs = free_vars(lit.atom)
+        if ALPHA in vs or betas.isdisjoint(vs):
+            lefts.add(lit)
+        if ALPHA not in vs:
+            rights.add(dual(lit))
+    return lefts, frozenset(rights)
 
 
 def naive_pool(sehs: Sehs) -> frozenset[Literal]:
@@ -412,11 +395,9 @@ def gstar_pool(sehs: Sehs) -> tuple[frozenset[Literal], bool]:
     lefts, rights = _leaf_literals(sehs)
     reach = {l: _generalise(l, sys, "gstar") for l in lefts | rights}
     right_reach = frozenset().union(*(reach[q] for q in rights))
-    partnered = frozenset(l for l in lefts if not reach[l].isdisjoint(right_reach))
-    unifiable = all(
-        not partnered.isdisjoint(leaf.a_part) or not partnered.isdisjoint(leaf.n_part)
-        for leaf in sehs.leaves
-    )
+    partnered = [l for l in lefts if not reach[l].isdisjoint(right_reach)]
+    ctx = sehs.ctx
+    unifiable = ctx.holding(map(ctx.lit_id, partnered)) == ctx.all_leaves
     return frozenset().union(*(reach[l] for l in lefts)) & right_reach, unifiable
 
 
@@ -463,8 +444,8 @@ def is_balanced(sehs: Sehs, clauses: ClauseSet) -> bool:
     the bridge: a cl vector (one clause per universal witness, its
     instance on the left) or a sol vector (one pick of p literals per
     clause, their alpha instances on the right).  Tautological leaves of
-    the reduced representation close on an end pair, so only the
-    partitioned leaves count.  A leaf closes on an end pair when a picked
+    the reduced representation close on an end pair, so only
+    `Sehs.leaves` count.  A leaf closes on an end pair when a picked
     instance meets one of its literals (the cl masks, and `holding` for
     the sol picks); otherwise it closes only on two picks that cancel."""
     # Malformed clause sets raise as they do when the sequent is built.

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from pi2cut.herbrand import HerbrandInstanceSet
 from pi2cut.problem_io import ProblemFile, parse_problem
-from pi2cut.syntax import App, Atom, Literal, Var, X, Y, const
+from pi2cut.syntax import ALPHA, App, Atom, Literal, Var, X, Y, const, free_vars
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -56,6 +56,18 @@ def lit(pred: str, *args) -> Literal:
 
 def nlit(pred: str, *args) -> Literal:
     return Literal(False, Atom(pred, tuple(args)))
+
+
+def leaf_parts(sehs, leaf) -> tuple[frozenset[Literal], ...]:
+    """The paper's split of a leaf's literals by eigenvariable use: those
+    with ``alpha`` free (A), those with some ``bj`` free and no ``alpha``
+    (B), and the neutral rest (N)."""
+    betas = set(sehs.grammar.beta_vars())
+    parts: tuple[set[Literal], ...] = (set(), set(), set())
+    for l in leaf:
+        vs = free_vars(l.atom)
+        parts[0 if ALPHA in vs else 1 if vs & betas else 2].add(l)
+    return tuple(map(frozenset, parts))
 
 
 x = Var(X)

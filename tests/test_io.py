@@ -145,6 +145,34 @@ class TestProblemFiles:
         with pytest.raises(ParseError):
             parse_problem(broken)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("(herbrand-terms", "(herbrand-term", "19:1: unknown section 'herbrand-term'"),
+            ("(grammar", "(grammar (f-tuples (alpha))", "15:3: duplicate grammar part 'f-tuples'"),
+            ("(t-terms", "(s-terms r1) (t-terms", "18:3: unknown grammar part 's-terms'"),
+            (
+                "(exists-vars y1 y2)",
+                "(exists-vars y1 y2) (forall-vars x1)",
+                "11:21: duplicate section 'forall-vars'",
+            ),
+        ],
+    )
+    def test_unknown_or_duplicate_parts_rejected(self, old, new, message):
+        # A misspelled section used to be skipped, so the cover check it
+        # held never ran.
+        pf_text = (PROBLEM_DIR / "two_step.p2").read_text()
+        with pytest.raises(ParseError) as err:
+            parse_problem(pf_text.replace(old, new, 1))
+        assert str(err.value) == message
+
+    def test_misspelled_section_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.p2"
+        text = (PROBLEM_DIR / "two_step.p2").read_text()
+        bad.write_text(text.replace("(herbrand-terms", "(herbrand-term"))
+        assert main(["solve", str(bad)]) == 2
+        assert "unknown section 'herbrand-term'" in capsys.readouterr().err
+
     def test_grammar_side_conditions_enforced(self):
         pf_text = (PROBLEM_DIR / "two_step.p2").read_text()
         broken = pf_text.replace("(r-terms r1 (r2 b1))", "(r-terms (r2 b1) r1)")
@@ -171,6 +199,19 @@ class TestStartingSets:
         pf = two_step()
         with pytest.raises(ParseError):
             parse_starting_set("(and (P x y) (P y x))\n", pf.problem.signature)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(P x y)\n(P x y) (Z x)\n", "2:9: unknown predicate symbol 'Z'"),
+            ("; c\n\n  \t(P x (t1 y y))\r\n", "3:10: t1 expects 1 arguments, got 2"),
+            ("(P x y)\r\n(P x y) ; (\n (P x\n", "3:2: unclosed '('"),
+        ],
+    )
+    def test_error_positions_are_the_files(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_starting_set(text, two_step().problem.signature)
+        assert str(err.value) == message
 
 
 _SIG = two_step().problem.signature

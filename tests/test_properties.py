@@ -5,6 +5,7 @@ the acceptance suite re-runs these at larger sizes."""
 import itertools
 import random
 
+from fixtures import leaf_parts
 from gen import random_sehs, random_starting_set
 from pi2cut.calculus import check_proof, complexities, is_tautology
 from pi2cut.grammar import GStarSystem, gstar_of, reachable_literals, unifiable_pair
@@ -33,6 +34,7 @@ from pi2cut.syntax import (
     beta,
     clause_key,
     dnf_of,
+    literal_key,
     dual,
     free_vars,
     substitute_literal,
@@ -121,8 +123,9 @@ def test_pools_match_their_pairwise_definitions():
         for seed in range(60):
             sehs = random_sehs(random.Random(2100 + seed), rich=rich, max_leaves=4)
             g = sehs.grammar
-            lefts = {l for leaf in sehs.leaves for l in leaf.a_part | leaf.n_part}
-            rights = {q for leaf in sehs.leaves for q in leaf.b_part | leaf.n_part}
+            parts = [leaf_parts(sehs, leaf) for leaf in sehs.leaves]
+            lefts = {l for a, _, n in parts for l in a | n}
+            rights = {q for _, b, n in parts for q in b | n}
             sys = gstar_of(g)
             common = {
                 l: frozenset().union(*(unifiable_pair(l, q, sys) for q in rights))
@@ -131,7 +134,7 @@ def test_pools_match_their_pairwise_definitions():
             pool, unifiable = gstar_pool(sehs)
             assert pool == frozenset().union(*common.values()), f"seed {seed}"
             assert unifiable == all(
-                any(common[l] for l in leaf.a_part | leaf.n_part) for leaf in sehs.leaves
+                any(common[l] for l in a | n) for a, _, n in parts
             ), f"seed {seed}"
 
             witnesses = [(l, Var(ALPHA), t) for l in lefts for t in g.t_terms] + [
@@ -154,13 +157,15 @@ def test_allowed_sets_subset_closed():
         sehs = random_sehs(rng)
         ctx = _Ctx(sehs)
         pool = sorted(naive_pool(sehs), key=str)
+        # T2' at leaf idx, read from the mask.
+        allowed = lambda idx, lits: ctx.witness_mask(sorted(lits, key=literal_key)) >> idx & 1
         for idx in range(len(sehs.leaves)):
-            prime = [l for l in pool if ctx.allowed(idx, frozenset({l}))][:4]
+            prime = [l for l in pool if allowed(idx, {l})][:4]
             for k in range(2, len(prime) + 1):
                 for combo in itertools.combinations(prime, k):
-                    if ctx.allowed(idx, frozenset(combo)):
+                    if allowed(idx, combo):
                         for member in combo:
-                            assert ctx.allowed(idx, frozenset({member}))
+                            assert allowed(idx, {member})
 
 
 def test_proof_round_trip_on_random_solutions():

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from fixtures import (
+    leaf_parts,
     lit,
     nlit,
     shared_base,
@@ -23,7 +24,6 @@ from pi2cut.solver import (
     CoverFailure,
     NoSolutionUnderPool,
     NotASolution,
-    PartitionedLeaf,
     SolverOptions,
     _clause_sets,
     _Ctx,
@@ -45,12 +45,18 @@ from pi2cut.syntax import (
     Imp,
     Literal,
     Var,
+    X,
+    Y,
+    beta,
     clause_key,
     conj,
     const,
     disj,
     dnf_of,
+    dual,
     free_vars,
+    literal_key,
+    substitute_literal,
 )
 
 alpha = Var(ALPHA)
@@ -95,26 +101,24 @@ class TestBuildSehs:
         assert sehs.term_set == terms
 
 
-def reference_partition(sehs) -> tuple[PartitionedLeaf, ...]:
+def leaf_key(leaf) -> tuple[str, ...]:
+    return tuple(sorted(map(literal_key, leaf)))
+
+
+def reference_partition(sehs) -> tuple[frozenset[Literal], ...]:
     """`Sehs.leaves` computed the long way: the non-tautological leaves of
     the full maximal derivation, each rewritten into antecedent literals
-    (succedent atoms negated) and split by the eigenvariables free in the
-    atom, in canonical order."""
+    (succedent atoms negated), in canonical order."""
     from pi2cut.calculus import NON_TAUT_LEAF, maximal_derivation
 
-    betas = set(sehs.grammar.beta_vars())
     out = set()
     for node in maximal_derivation(sehs.reduced_representation()).leaves():
         if node.rule != NON_TAUT_LEAF:
             continue
         lits = [Literal(False, a) for a in node.sequent.right]
         lits += [Literal(True, a) for a in node.sequent.left]
-        parts = (set(), set(), set())
-        for l in lits:
-            vs = free_vars(l.atom)
-            parts[0 if ALPHA in vs else 1 if vs & betas else 2].add(l)
-        out.add(PartitionedLeaf(*map(frozenset, parts)))
-    return tuple(sorted(out, key=PartitionedLeaf.key))
+        out.add(frozenset(lits))
+    return tuple(sorted(out, key=leaf_key))
 
 
 class TestPartitionedDnta:
@@ -134,15 +138,23 @@ class TestPartitionedDnta:
         ]
         for sehs in cases:
             assert sehs.leaves == reference_partition(sehs)
+            # No literal has both alpha and a b-variable free, so the split
+            # by free variables is well defined.
+            betas = set(sehs.grammar.beta_vars())
+            for leaf in sehs.leaves:
+                for l in leaf:
+                    vs = free_vars(l.atom)
+                    assert not (ALPHA in vs and vs & betas), l
 
     def test_succedent_negated_antecedent_positive(self):
         pf = shared_base()
         sehs, _ = build_sehs(pf.problem, pf.grammar)
         r, b1, b2 = const("r"), Var("b1"), Var("b2")
         a_part = frozenset({lit("P", alpha, t1(alpha)), lit("Q", alpha, t2(alpha))})
-        assert partitioned_dnta(sehs) == {
-            PartitionedLeaf(a_part, frozenset({nlit("P", r, b1)}), frozenset()),
-            PartitionedLeaf(a_part, frozenset({nlit("Q", r, b2)}), frozenset()),
+        b_parts = (frozenset({nlit("P", r, b1)}), frozenset({nlit("Q", r, b2)}))
+        assert partitioned_dnta(sehs) == {a_part | b for b in b_parts}
+        assert {leaf_parts(sehs, leaf) for leaf in sehs.leaves} == {
+            (a_part, b, frozenset()) for b in b_parts
         }
 
     def test_every_leaf_atom_kept_once(self):
@@ -155,8 +167,7 @@ class TestPartitionedDnta:
             leaf.left | leaf.right: (leaf.left, leaf.right) for leaf in non_tautological_leaves(rr)
         }
         assert len(by_atoms) == len(sehs.leaves)
-        for pl in sehs.leaves:
-            lits = pl.literals()
+        for lits in sehs.leaves:
             left, right = by_atoms[frozenset(l.atom for l in lits)]
             assert len(lits) == len(left) + len(right)
             assert {l.atom for l in lits if l.positive} == left
@@ -165,15 +176,16 @@ class TestPartitionedDnta:
     def test_swap_pair_leaves(self):
         pf = swap_pair()
         sehs, _ = build_sehs(pf.problem, pf.grammar)
-        leaves = sorted(partitioned_dnta(sehs), key=PartitionedLeaf.key)
+        leaves = sorted(partitioned_dnta(sehs), key=leaf_key)
         assert len(leaves) == 2
         r = const("r")
         b1 = Var("b1")
         expected_b = {nlit("P", r, b1), nlit("Q", r, b1)}
-        for leaf in leaves:
-            assert leaf.b_part == expected_b
-            assert leaf.n_part == frozenset()
-        a_parts = {leaf.a_part for leaf in leaves}
+        parts = [leaf_parts(sehs, leaf) for leaf in leaves]
+        for _, b_part, n_part in parts:
+            assert b_part == expected_b
+            assert n_part == frozenset()
+        a_parts = {a_part for a_part, _, _ in parts}
         assert a_parts == {
             frozenset({lit("P", alpha, t1(alpha)), lit("Q", alpha, t2(alpha))}),
             frozenset({lit("P", alpha, t2(alpha)), lit("Q", alpha, t1(alpha))}),
@@ -214,6 +226,7 @@ class TestPartitionedDnta:
         fi = lambda i, t: App(f"f{i}", (t,))
         c, b1 = const("c"), Var("b1")
         leaves = partitioned_dnta(sehs)
+        b_part = frozenset({nlit("P", c, f(b1)), nlit("P", c, g(b1))})
         expected = set()
         for i in (1, 2):
             other = 2 if i == 1 else 1
@@ -223,14 +236,9 @@ class TestPartitionedDnta:
                     a.add(nlit("P", alpha, fi(other, alpha)))
                 else:
                     a.add(lit("P", alpha, f(fi(other, alpha))))
-                expected.add(
-                    PartitionedLeaf(
-                        frozenset(a),
-                        frozenset({nlit("P", c, f(b1)), nlit("P", c, g(b1))}),
-                        frozenset(),
-                    )
-                )
-        assert leaves == expected
+                expected.add((frozenset(a), b_part, frozenset()))
+        assert {leaf_parts(sehs, leaf) for leaf in leaves} == expected
+        assert leaves == {a | b | n for a, b, n in expected}
 
 
 class TestAntiInstances:
@@ -252,10 +260,16 @@ class TestAntiInstances:
         assert lit("P", x, f(f1(x))) in got
 
 
+def allowed(ctx, idx, lits) -> bool:
+    """T2' at leaf `idx`: do all the literals instantiate into its alpha
+    part under one common existential witness?"""
+    return bool(ctx.witness_mask(sorted(lits, key=literal_key)) >> idx & 1)
+
+
 def allowed_literals(sehs, ctx, idx):
     """The naive-pool literals that instantiate into the alpha part of leaf
     `idx` under some existential witness."""
-    return [l for l in sorted(naive_pool(sehs), key=str) if ctx.allowed(idx, frozenset({l}))]
+    return [l for l in sorted(naive_pool(sehs), key=str) if allowed(ctx, idx, {l})]
 
 
 class TestInAllowed:
@@ -272,11 +286,10 @@ class TestInAllowed:
     def test_allowed_literals_empty(self):
         pf = swap_pair()
         sehs, _ = build_sehs(pf.problem, pf.grammar)
-        ctx = _Ctx(sehs)
         # A leaf without an alpha part admits no literal.
-        ctx.leaves = (
-            PartitionedLeaf(frozenset(), frozenset({nlit("P", const("r"), Var("b1"))}), frozenset()),
-        )
+        vars(sehs)["leaves"] = (frozenset({nlit("P", const("r"), Var("b1"))}),)
+        ctx = _Ctx(sehs)
+        assert ctx.all_leaves == 1
         assert allowed_literals(sehs, ctx, 0) == []
 
     def test_allowed_literals_on_benchmark_leaf(self):
@@ -297,9 +310,9 @@ class TestInAllowed:
         P = lit("P", x, y)
         Q = lit("Q", x, y)
         for idx in range(len(sehs.leaves)):
-            assert ctx.allowed(idx, frozenset({P}))
-            assert ctx.allowed(idx, frozenset({Q}))
-            assert not ctx.allowed(idx, frozenset({P, Q}))
+            assert allowed(ctx, idx, {P})
+            assert allowed(ctx, idx, {Q})
+            assert not allowed(ctx, idx, {P, Q})
 
     def test_subset_closure(self):
         pf = swap_pair()
@@ -307,9 +320,9 @@ class TestInAllowed:
         ctx = _Ctx(sehs)
         for idx in range(len(sehs.leaves)):
             big = frozenset(allowed_literals(sehs, ctx, idx))
-            if ctx.allowed(idx, big):
+            if allowed(ctx, idx, big):
                 for member in big:
-                    assert ctx.allowed(idx, frozenset({member}))
+                    assert allowed(ctx, idx, {member})
 
     def test_benchmark_allowed(self):
         from pi2cut.benchmark import generate_sn
@@ -319,7 +332,90 @@ class TestInAllowed:
         ctx = _Ctx(sehs)
         f = lambda t: App("f", (t,))
         target = frozenset({lit("P", x, f(y))})
-        assert all(ctx.allowed(idx, target) for idx in range(len(sehs.leaves)))
+        assert all(allowed(ctx, idx, target) for idx in range(len(sehs.leaves)))
+
+
+def definition_masks(sehs, clause):
+    """The cl and sol masks of one clause from the per-leaf definitions:
+    T1 (a dual of C[x := r_j] in N), T2 (a dual of the instance in B),
+    T1' (some C[y := t_i] literal of the pick in N) and T2' (for some
+    witness i, every literal of the pick has its alpha_t(l, i) in A)."""
+    g = sehs.grammar
+    alpha_t = lambda l, i: substitute_literal(l, {X: alpha, Y: g.t_terms[i]})
+    parts = [leaf_parts(sehs, leaf) for leaf in sehs.leaves]
+
+    def mask(closes):
+        return sum(1 << idx for idx, part in enumerate(parts) if closes(*part))
+
+    cl = []
+    for j, r in enumerate(g.r_terms):
+        x_only = {dual(substitute_literal(l, {X: r})) for l in clause}
+        inst = [substitute_literal(l, {X: r, Y: Var(beta(j + 1))}) for l in clause]
+        duals = {dual(l) for l in inst}
+        cl.append((mask(lambda a, b, n: not (x_only.isdisjoint(n) and duals.isdisjoint(b))), inst))
+    sol = []
+    for pick in itertools.product(sorted(clause, key=literal_key), repeat=g.p):
+        y_only = {substitute_literal(l, {Y: t}) for l, t in zip(pick, g.t_terms)}
+        per_witness = [{alpha_t(l, i) for l in pick} for i in range(g.p)]
+        sol.append((
+            mask(lambda a, b, n: not y_only.isdisjoint(n) or any(w <= a for w in per_witness)),
+            [alpha_t(l, i) for i, l in enumerate(pick)],
+        ))
+    return cl, sol
+
+
+def ground_witness_sehs():
+    """One leaf {P(alpha, d), R(d), -P(c, b1)} under the t-terms (f alpha)
+    and the ground d: an alpha instance without alpha, R(d), is held by the
+    leaf without lying in its A part."""
+    from pi2cut.grammar import SchematicPi2Grammar
+    from pi2cut.herbrand import PrenexProblem
+    from pi2cut.syntax import And, Signature
+
+    sig = Signature({"c": 0, "d": 0, "f": 1}, {"P": 2, "R": 1})
+    c, d, x1, y1 = const("c"), const("d"), Var("x1"), Var("y1")
+    pb = PrenexProblem(
+        sig, ("x1",), ("y1",), And(Atom("P", (x1, d)), Atom("R", (d,))), Atom("P", (c, y1))
+    )
+    g = SchematicPi2Grammar(sig, ((alpha,),), ((Var("b1"),),), (c,), (App("f", (alpha,)), d))
+    return build_sehs(pb, g)[0]
+
+
+def test_masks_match_the_leaf_definitions():
+    import random
+
+    from fixtures import PROBLEM_DIR, load
+    from gen import random_sehs, random_starting_set
+    from pi2cut.benchmark import generate_sn
+
+    rng = random.Random(4100)
+    # The pick (R(y), P(x, y)) closes no leaf here: under the witness d
+    # its instances are held, but R(d) has no alpha, so T2' fails.
+    cases = [(ground_witness_sehs(), [frozenset({lit("R", y), lit("P", x, y)})])]
+    problems = [load(p.name) for p in sorted(PROBLEM_DIR.glob("*.p2"))]
+    for pf in problems + [generate_sn(n) for n in range(2, 7)]:
+        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        units = clauses_from_pool(naive_pool(sehs), 1)
+        # A two-literal clause has 2^p sol picks; S_n has p = n.
+        pairs = clauses_from_pool(sorted(naive_pool(sehs), key=literal_key)[:4], 2)
+        pairs = pairs if sehs.grammar.p <= 4 else []
+        randoms = set().union(*(random_starting_set(rng, rich=True) for _ in range(3)))
+        cases.append((sehs, units + pairs + sorted(randoms, key=clause_key)))
+    for seed in range(120):
+        sehs = random_sehs(random.Random(4200 + seed), rich=seed % 2 == 0, max_leaves=6)
+        cases.append((sehs, random_starting_set(random.Random(4400 + seed), rich=seed % 3 != 2)))
+    hits = Counter()
+    for sehs, clauses in cases:
+        ctx = _Ctx(sehs)
+        for c in clauses:
+            cl, sol = definition_masks(sehs, c)
+            for j, (mask, inst) in enumerate(cl):
+                assert ctx.cl_pick(c, j) == (mask, frozenset(map(ctx.lit_id, inst))), (c, j)
+            got = ctx.sol_picks(c)
+            assert got == [(mask, frozenset(map(ctx.lit_id, i))) for mask, i in sol], c
+            hits.update(cl=sum(m != 0 for m, _ in cl), sol=sum(m != 0 for m, _ in sol))
+    # Both filters are exercised on clauses that close some leaves.
+    assert hits["cl"] > 100 and hits["sol"] > 100, hits
 
 
 class TestFilters:
