@@ -83,10 +83,11 @@ class SchematicPi2Grammar:
         return substitute_term(self.t_terms[i - 1], {ALPHA: self.r_terms[j - 1]})
 
 
-def validate(g: SchematicPi2Grammar) -> tuple[list[str], list[str]]:
-    """Check all grammar side conditions; returns (violations, warnings)."""
+def validate(g: SchematicPi2Grammar) -> list[str]:
+    """The side conditions the grammar breaks, one message each; empty
+    when it has none.  Repeated witness terms are allowed.  Whether the
+    tuples fit a problem's quantifier blocks is checked by `build_sehs`."""
     violations: list[str] = []
-    warnings: list[str] = []
     if g.m < 1:
         violations.append("at least one universal witness term is required")
     if g.p < 1:
@@ -128,12 +129,7 @@ def validate(g: SchematicPi2Grammar) -> tuple[list[str], list[str]]:
         check(r, allowed, what)
     for i, t in enumerate(g.t_terms, 1):
         check(t, {ALPHA}, f"existential witness {i}")
-
-    if len(set(map(term_key, g.r_terms))) != len(g.r_terms):
-        warnings.append("duplicate universal witness terms")
-    if len(set(map(term_key, g.t_terms))) != len(g.t_terms):
-        warnings.append("duplicate existential witness terms")
-    return violations, warnings
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +140,7 @@ def rigid_language(g: SchematicPi2Grammar) -> frozenset[WrappedTerm]:
     """All wrapped ground terms derivable when every variable commits to a
     single production: one universal witness for alpha, one existential
     witness index per b_j; the b-values are built bottom up."""
-    violations, _ = validate(g)
+    violations = validate(g)
     if violations:
         raise GrammarError("; ".join(violations))
     out: set[WrappedTerm] = set()

@@ -142,7 +142,7 @@ class ExtendedHerbrandSequent:
             raise SyntaxError_("cut matrix must be quantifier-free")
         if free_vars(self.cut_matrix) - {X, Y}:
             raise SyntaxError_("cut matrix may use only the variables x and y")
-        violations, _ = validate(self.grammar)
+        violations = validate(self.grammar)
         if violations:
             raise HerbrandError("; ".join(violations))
 

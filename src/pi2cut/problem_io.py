@@ -168,25 +168,32 @@ def _print_signature(sig: Signature, pad: str) -> list[str]:
     return lines
 
 
-def _named_lists(nodes: Iterable[SNode], what: str, names: tuple[str, ...]) -> dict[str, SList]:
-    """Lists keyed by their head, each head one of `names` and used once."""
+def _named_lists(
+    nodes: Iterable[SNode], what: str, sizes: dict[str, int | None]
+) -> dict[str, SList]:
+    """Lists keyed by their head, each head a key of `sizes` and used once.
+    A list has `sizes[head]` items, head included, unless that is None."""
     out: dict[str, SList] = {}
     for node in nodes:
         lst = expect_list(node, what)
         head = head_of(lst, what)
-        if head not in names or head in out:
+        if head not in sizes or head in out:
             kind = "duplicate" if head in out else "unknown"
             raise ParseError(f"{kind} {what} '{head}'", lst.line, lst.col)
+        size = sizes[head]
+        if size is not None and len(lst.items) != size:
+            raise ParseError(f"({head} ...) takes {size - 1} item(s)", lst.line, lst.col)
         out[head] = lst
     return out
 
 
-_SECTIONS = ("signature", "forall-vars", "exists-vars", "antecedent", "succedent", "grammar")
-_GRAMMAR_PARTS = ("f-tuples", "g-tuples", "r-terms", "t-terms")
+_SECTIONS = {"signature": None, "forall-vars": None, "exists-vars": None,
+             "antecedent": 2, "succedent": 2, "grammar": None}
+_GRAMMAR_PARTS = dict.fromkeys(("f-tuples", "g-tuples", "r-terms", "t-terms"))
 
 
 def parse_problem(text: str) -> ProblemFile:
-    sections = _named_lists(parse_all(text), "section", _SECTIONS + ("herbrand-terms",))
+    sections = _named_lists(parse_all(text), "section", {**_SECTIONS, "herbrand-terms": None})
     for required in _SECTIONS:
         if required not in sections:
             raise ParseError(f"missing section '{required}'", 1, 1)
@@ -205,14 +212,8 @@ def parse_problem(text: str) -> ProblemFile:
     forall_vars = var_block("forall-vars")
     exists_vars = var_block("exists-vars")
 
-    def matrix(name: str, variables: tuple[str, ...]) -> Formula:
-        items = sections[name].items
-        if len(items) != 2:
-            raise ParseError(f"{name} takes one formula", sections[name].line, sections[name].col)
-        return parse_formula(items[1], sig, set(variables))
-
-    antecedent = matrix("antecedent", forall_vars)
-    succedent = matrix("succedent", exists_vars)
+    antecedent = parse_formula(sections["antecedent"].items[1], sig, set(forall_vars))
+    succedent = parse_formula(sections["succedent"].items[1], sig, set(exists_vars))
     try:
         problem = PrenexProblem(sig, forall_vars, exists_vars, antecedent, succedent)
     except SyntaxError_ as e:
@@ -230,7 +231,7 @@ def parse_problem(text: str) -> ProblemFile:
     r_terms = tuple(parse_term(t, sig, betas) for t in r_nodes)
     t_terms = tuple(parse_term(t, sig, {ALPHA}) for t in parts["t-terms"].items[1:])
     grammar = SchematicPi2Grammar(sig, f_tuples, g_tuples, r_terms, t_terms)
-    violations, _ = validate(grammar)
+    violations = validate(grammar)
     if violations:
         raise ParseError("; ".join(violations), gsec.line, gsec.col)
 
@@ -361,8 +362,11 @@ def print_proof(root: Node, sig: Signature) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Item count, head included, of each node part of fixed shape.
-_PART_SIZES = {"rule": 2, "principal": 3, "witness": 2, "eigen": 2, "keep": 1, "cut-formula": 2}
+# Item count, head included, of each node part and sequent side; None
+# admits any count.
+_NODE_PARTS = {"rule": 2, "principal": 3, "witness": 2, "eigen": 2, "keep": 1, "cut-formula": 2,
+               "sequent": None, "premises": None}
+_SIDES = {calculus.LEFT: None, calculus.RIGHT: None}
 
 
 def _proof_formula(node: SNode, sig: Signature, memo: dict[str, Formula]) -> Formula:
@@ -386,65 +390,30 @@ def _read_node(
     lst = expect_list(node, "proof node")
     if head_of(lst, "node") != "node":
         raise ParseError("expected (node ...)", lst.line, lst.col)
-    rule = None
-    principal = None
-    side = None
-    witness = None
-    eigen = None
-    keep = False
-    cut_formula = None
-    sequent = None
-    premises: tuple[SNode, ...] = ()
-    for item in lst.items[1:]:
-        part = expect_list(item, "node part")
-        head = head_of(part, "node part")
-        size = _PART_SIZES.get(head)
-        if size is not None and len(part.items) != size:
-            raise ParseError(f"({head} ...) takes {size - 1} item(s)", part.line, part.col)
-        if head == "rule":
-            rule = expect_atom(part.items[1], "rule name").value
-            if rule not in calculus.RULES:
-                raise ParseError(f"unknown rule '{rule}'", part.line, part.col)
-        elif head == "principal":
-            side = expect_atom(part.items[1], "side").value
-            principal = _proof_formula(part.items[2], sig, memo)
-        elif head == "witness":
-            witness = parse_term(part.items[1], sig, None)
-        elif head == "eigen":
-            eigen = expect_atom(part.items[1], "eigenvariable").value
-        elif head == "keep":
-            keep = True
-        elif head == "cut-formula":
-            cut_formula = _proof_formula(part.items[1], sig, memo)
-        elif head == "sequent":
-            left: list[Formula] = []
-            right: list[Formula] = []
-            for sub in part.items[1:]:
-                sublist = expect_list(sub, "sequent side")
-                which = head_of(sublist, "left or right")
-                if which not in (calculus.LEFT, calculus.RIGHT):
-                    raise ParseError(f"unknown sequent side '{which}'", sublist.line, sublist.col)
-                target = left if which == calculus.LEFT else right
-                for f in sublist.items[1:]:
-                    target.append(_proof_formula(f, sig, memo))
-            sequent = Sequent.of(left, right)
-        elif head == "premises":
-            premises = part.items[1:]
-        else:
-            raise ParseError(f"unknown node part '{head}'", part.line, part.col)
-    if rule is None or sequent is None:
+    parts = _named_lists(lst.items[1:], "node part", _NODE_PARTS)
+    if "rule" not in parts or "sequent" not in parts:
         raise ParseError("node needs a rule and a sequent", lst.line, lst.col)
+    rule = expect_atom(parts["rule"].items[1], "rule name").value
+    if rule not in calculus.RULES:
+        raise ParseError(f"unknown rule '{rule}'", parts["rule"].line, parts["rule"].col)
+    principal, witness, eigen, cut = map(parts.get, ("principal", "witness", "eigen", "cut-formula"))
+    sides = _named_lists(parts["sequent"].items[1:], "sequent side", _SIDES)
+    left, right = sides.get(calculus.LEFT), sides.get(calculus.RIGHT)
     fields = dict(
         rule=rule,
-        sequent=sequent,
-        principal=principal,
-        side=side,
-        witness=witness,
-        eigen=eigen,
-        keep=keep,
-        cut_formula=cut_formula,
+        sequent=Sequent.of(
+            [_proof_formula(f, sig, memo) for f in left.items[1:]] if left else (),
+            [_proof_formula(f, sig, memo) for f in right.items[1:]] if right else (),
+        ),
+        side=expect_atom(principal.items[1], "side").value if principal else None,
+        principal=_proof_formula(principal.items[2], sig, memo) if principal else None,
+        witness=parse_term(witness.items[1], sig, None) if witness else None,
+        eigen=expect_atom(eigen.items[1], "eigenvariable").value if eigen else None,
+        keep="keep" in parts,
+        cut_formula=_proof_formula(cut.items[1], sig, memo) if cut else None,
     )
-    return fields, premises
+    premises = parts.get("premises")
+    return fields, premises.items[1:] if premises else ()
 
 
 def _parse_node(root: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:

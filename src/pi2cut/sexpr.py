@@ -152,6 +152,12 @@ def expect_atom(node: SNode, what: str) -> SAtom:
 
 
 def head_of(node: SList, what: str) -> str:
-    if not node.items:
+    # The proof reader calls this for every node, part and side, so the
+    # messages are formatted only on error.
+    items = node.items
+    if not items:
         raise ParseError(f"empty list where {what} was expected", node.line, node.col)
-    return expect_atom(node.items[0], f"{what} keyword").value
+    head = items[0]
+    if not isinstance(head, SAtom):
+        raise ParseError(f"expected {what} keyword, got a list", head.line, head.col)
+    return head.value

@@ -116,7 +116,6 @@ class Sehs:
 
     problem: PrenexProblem
     grammar: SchematicPi2Grammar
-    term_set: frozenset[WrappedTerm] | None = None
 
     def reduced_representation(self) -> Sequent:
         g = self.grammar
@@ -139,8 +138,8 @@ def build_sehs(
     pb: PrenexProblem,
     g: SchematicPi2Grammar,
     term_set: Iterable[WrappedTerm] | None = None,
-) -> tuple[Sehs, Sequent]:
-    violations, _ = validate(g)
+) -> Sehs:
+    violations = validate(g)
     if violations:
         raise GrammarError("; ".join(violations))
     if g.f_tuples and len(g.f_tuples[0]) != len(pb.forall_vars):
@@ -155,8 +154,7 @@ def build_sehs(
         raise CoverFailure(
             "grammar does not generate: " + ", ".join(t.to_sexp() for t in missing)
         )
-    sehs = Sehs(pb, g, wrapped)
-    return sehs, sehs.reduced_representation()
+    return Sehs(pb, g)
 
 
 def partitioned_dnta(sehs: Sehs) -> frozenset[frozenset[Literal]]:
@@ -557,7 +555,7 @@ def introduce_cut(
     then literal count, then canonical order)."""
     from .calculus import complexities
 
-    sehs, _ = build_sehs(pb, g, term_set)
+    sehs = build_sehs(pb, g, term_set)
     ctx = sehs.ctx
     stats = SearchStats()
     clauses = _starting_clauses(sehs, options, stats)

@@ -412,20 +412,8 @@ Clause = frozenset  # of Literal
 ClauseSet = frozenset  # of Clause
 
 
-def pos(atom: Atom) -> Literal:
-    return Literal(True, atom)
-
-
-def neg(atom: Atom) -> Literal:
-    return Literal(False, atom)
-
-
 def dual(lit: Literal) -> Literal:
     return Literal(not lit.positive, lit.atom)
-
-
-def dual_set(lits: Iterable[Literal]) -> frozenset[Literal]:
-    return frozenset(dual(l) for l in lits)
 
 
 def substitute_literal(lit: Literal, sub: Substitution) -> Literal:
@@ -511,10 +499,6 @@ def tuple_key(tup: Sequence[Term]) -> tuple[str, ...]:
 
 def clause_key(c: Clause) -> tuple[str, ...]:
     return tuple(sorted(literal_to_sexp(l) for l in c))
-
-
-def clause_set_key(cs: ClauseSet) -> tuple[tuple[str, ...], ...]:
-    return tuple(sorted(clause_key(c) for c in cs))
 
 
 def clause_to_sexp(c: Clause) -> str:

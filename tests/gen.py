@@ -5,7 +5,8 @@ fixed signature, flat distinct existential witness terms containing
 ``alpha``, and starting-set literals whose arguments are the bare
 variables x and y.  The rich mode (used by the soundness suite only)
 additionally draws ground witness terms and literals with function
-symbols around x and y.
+symbols around x and y, and conjoins the ground atom ``R(d)`` to the
+antecedent when ``d`` is an existential witness term.
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ def random_sehs(rng: random.Random, rich: bool = False, max_leaves: int = 3) -> 
             y_args += [_g(Var("y1")), const("d")]
         antecedent = _random_matrix(rng, x_args, rng.randint(1, 3))
         succedent = _random_matrix(rng, y_args, rng.randint(1, 3))
+        if rich and const("d") in t_terms:
+            # A ground atom over the witness d: the leaves then hold an
+            # alpha instance without alpha, which T2' must not count.
+            antecedent = And(antecedent, Atom("R", (const("d"),)))
         try:
             pb = PrenexProblem(SIG, ("x1",), ("y1",), antecedent, succedent)
         except Exception:
@@ -101,7 +106,7 @@ def random_sehs(rng: random.Random, rich: bool = False, max_leaves: int = 3) -> 
         g_tuples = tuple((b,) for b in rng.sample(beta_terms, rng.randint(1, m)))
         grammar = SchematicPi2Grammar(SIG, f_tuples, g_tuples, r_terms, t_terms)
         try:
-            sehs, _ = build_sehs(pb, grammar)
+            sehs = build_sehs(pb, grammar)
             leaves = partitioned_dnta(sehs)
         except Exception:
             continue

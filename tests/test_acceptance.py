@@ -82,7 +82,7 @@ def test_criterion_02_unsolvable_instances():
 def test_criterion_03_filter_example():
     start = time.perf_counter()
     pf = load("swap_pair.p2")
-    sehs, _ = build_sehs(pf.problem, pf.grammar)
+    sehs = build_sehs(pf.problem, pf.grammar)
     P = lit("P", x, y)
     Q = lit("Q", x, y)
     joint = frozenset([frozenset({P, Q})])
@@ -105,7 +105,7 @@ def test_criterion_04_benchmark_family():
     for n in (2, 3, 4, 5):
         start = time.perf_counter()
         sn = generate_sn(n)
-        sehs, _ = build_sehs(sn.problem, sn.grammar)
+        sehs = build_sehs(sn.problem, sn.grammar)
         pool, unifiable = gstar_pool(sehs)
         assert pool == expected_pool and unifiable
         clauses = clauses_from_pool(pool, 3)

@@ -32,7 +32,7 @@ class TestGenerateSn:
     def test_grammar_validates_for_range(self):
         for n in range(2, 9):
             sn = generate_sn(n)
-            assert validate(sn.grammar) == ([], [])
+            assert validate(sn.grammar) == []
 
     def test_rejects_small_n(self):
         with pytest.raises(BenchmarkError):

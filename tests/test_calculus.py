@@ -69,7 +69,7 @@ class TestMaximalDerivation:
 
     def test_shared_base_leaves(self):
         pf = load("unsolvable_shared_base.p2")
-        _, rr = build_sehs(pf.problem, pf.grammar)
+        rr = build_sehs(pf.problem, pf.grammar).reduced_representation()
         leaves = non_tautological_leaves(rr)
         alpha = Var(ALPHA)
         t1 = App("t1", (alpha,))
@@ -110,13 +110,13 @@ class TestNonTautologicalLeaves:
     def test_bundled_reduced_representations_match_the_tree(self):
         for path in sorted(PROBLEM_DIR.glob("*.p2")):
             pf = load(path.name)
-            _, rr = build_sehs(pf.problem, pf.grammar)
+            rr = build_sehs(pf.problem, pf.grammar).reduced_representation()
             assert non_tautological_leaves(rr) == reference_leaves(rr), path.name
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_benchmark_family_matches_the_tree(self, n):
         sn = generate_sn(n)
-        _, rr = build_sehs(sn.problem, sn.grammar)
+        rr = build_sehs(sn.problem, sn.grammar).reduced_representation()
         leaves = non_tautological_leaves(rr)
         assert leaves
         assert leaves == reference_leaves(rr)

@@ -25,7 +25,7 @@ from pi2cut.syntax import (
     Y,
     beta,
     const,
-    dual_set,
+    dual,
     literal_key,
     term_to_sexp,
 )
@@ -44,7 +44,7 @@ def fi(i, t):
 class TestValidate:
     def test_two_step_grammar_ok(self):
         pf = two_step()
-        assert validate(pf.grammar) == ([], [])
+        assert validate(pf.grammar) == []
 
     def test_first_witness_must_be_closed(self):
         sig = Signature({"t1": 1}, {"P": 2})
@@ -55,20 +55,18 @@ class TestValidate:
             (Var("b1"),),
             (App("t1", (alpha,)),),
         )
-        violations, _ = validate(g)
+        violations = validate(g)
         assert any("must be closed" in v for v in violations)
 
     def test_benchmark_grammar_ok(self):
         sn = generate_sn(3)
-        assert validate(sn.grammar) == ([], [])
+        assert validate(sn.grammar) == []
         assert sn.grammar.m == 2 and sn.grammar.p == 3
         assert [term_to_sexp(r) for r in sn.grammar.r_terms] == ["c", "(f b1)"]
 
-    def test_duplicate_witnesses_warn(self):
+    def test_duplicate_witnesses_allowed(self):
         pf = load("unsolvable_shared_base.p2")
-        violations, warnings = validate(pf.grammar)
-        assert violations == []
-        assert any("duplicate" in w for w in warnings)
+        assert validate(pf.grammar) == []
 
     def test_succedent_tuple_variable_condition(self):
         sig = Signature({"t1": 1}, {"P": 2})
@@ -79,7 +77,7 @@ class TestValidate:
             (App("t1", (alpha,)),),
             (App("t1", (alpha,)),),
         )
-        violations, _ = validate(g)
+        violations = validate(g)
         assert violations
 
     def test_derived_production(self):
@@ -191,7 +189,7 @@ class TestGStar:
         sn = generate_sn(3)
         sys = gstar_of(sn.grammar)
         lit = Literal(False, Atom("P", (f(Var(beta(1))), f(Var(beta(2))))))
-        duals = dual_set(reachable_literals(lit, sys))
+        duals = frozenset(map(dual, reachable_literals(lit, sys)))
         assert Literal(True, Atom("P", (Var(X), f(Var(Y))))) in duals
 
     def test_ground_literal_untouched(self):

@@ -296,6 +296,31 @@ class TestProofFiles:
         assert check_proof(again).ok
         assert print_proof(again, sig) == text
 
+    @pytest.mark.parametrize(
+        "part, sequent, message",
+        [
+            ("(rule axiom)", "(sequent (left (P c)) (right (P c)))", "4:5: duplicate node part 'rule'"),
+            (
+                "(sequent (left) (right (P c)))",
+                "(sequent (left (P c)) (right (P c)))",
+                "5:5: duplicate node part 'sequent'",
+            ),
+            (
+                "",
+                "(sequent (left (P c)) (left (P (f c))) (right (P c)))",
+                "5:27: duplicate sequent side 'left'",
+            ),
+        ],
+        ids=["rule", "sequent", "left"],
+    )
+    def test_repeated_part_exits_2(self, tmp_path, capsys, part, sequent, message):
+        # A later part used to replace an earlier one and a second side was
+        # merged into the first, so each of these checked as an axiom.
+        path = tmp_path / "repeated.proof"
+        path.write_text(_proof_text(part, sequent))
+        assert main(["check", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_malformed_rejected(self):
         with pytest.raises(ParseError):
             parse_proof("(proof)")

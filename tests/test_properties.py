@@ -77,10 +77,10 @@ def _bundled_sehs():
 
     out = []
     for pf in (two_step(), swap_pair(), unbalanced_pair()):
-        out.append(build_sehs(pf.problem, pf.grammar)[0])
+        out.append(build_sehs(pf.problem, pf.grammar))
     for n in (2, 3):
         sn = generate_sn(n)
-        out.append(build_sehs(sn.problem, sn.grammar)[0])
+        out.append(build_sehs(sn.problem, sn.grammar))
     return out
 
 

@@ -73,7 +73,7 @@ def t2(t):
 class TestBuildSehs:
     def test_shared_base_shape(self):
         pf = shared_base()
-        sehs, rr = build_sehs(pf.problem, pf.grammar)
+        rr = build_sehs(pf.problem, pf.grammar).reduced_representation()
         assert print_sequent(rr) == (
             "(sequent (left (and (P alpha (t1 alpha)) (Q alpha (t2 alpha))))"
             " (right (and (P r b1) (Q r b2))))"
@@ -81,7 +81,7 @@ class TestBuildSehs:
 
     def test_swap_pair_reduced_representation(self):
         pf = swap_pair()
-        _, rr = build_sehs(pf.problem, pf.grammar)
+        rr = build_sehs(pf.problem, pf.grammar).reduced_representation()
         assert print_sequent(rr) == (
             "(sequent (left (or (and (P alpha (t1 alpha)) (Q alpha (t2 alpha)))"
             " (and (P alpha (t2 alpha)) (Q alpha (t1 alpha)))))"
@@ -97,8 +97,7 @@ class TestBuildSehs:
     def test_cover_success(self):
         pf = two_step()
         terms = herbrand_term_set(pf.problem, two_step_instances())
-        sehs, _ = build_sehs(pf.problem, pf.grammar, terms)
-        assert sehs.term_set == terms
+        build_sehs(pf.problem, pf.grammar, terms)
 
 
 def leaf_key(leaf) -> tuple[str, ...]:
@@ -131,7 +130,7 @@ class TestPartitionedDnta:
 
         problems = [load(p.name) for p in sorted(PROBLEM_DIR.glob("*.p2"))]
         problems += [generate_sn(n) for n in range(2, 7)]
-        cases = [build_sehs(pf.problem, pf.grammar)[0] for pf in problems]
+        cases = [build_sehs(pf.problem, pf.grammar) for pf in problems]
         # Random grammar sequents from the property-test generator.
         cases += [
             random_sehs(random.Random(seed), rich=seed % 2 == 0, max_leaves=8) for seed in range(60)
@@ -148,7 +147,7 @@ class TestPartitionedDnta:
 
     def test_succedent_negated_antecedent_positive(self):
         pf = shared_base()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         r, b1, b2 = const("r"), Var("b1"), Var("b2")
         a_part = frozenset({lit("P", alpha, t1(alpha)), lit("Q", alpha, t2(alpha))})
         b_parts = (frozenset({nlit("P", r, b1)}), frozenset({nlit("Q", r, b2)}))
@@ -162,7 +161,8 @@ class TestPartitionedDnta:
         from pi2cut.calculus import non_tautological_leaves
 
         sn = generate_sn(3)
-        sehs, rr = build_sehs(sn.problem, sn.grammar)
+        sehs = build_sehs(sn.problem, sn.grammar)
+        rr = sehs.reduced_representation()
         by_atoms = {
             leaf.left | leaf.right: (leaf.left, leaf.right) for leaf in non_tautological_leaves(rr)
         }
@@ -175,7 +175,7 @@ class TestPartitionedDnta:
 
     def test_swap_pair_leaves(self):
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         leaves = sorted(partitioned_dnta(sehs), key=leaf_key)
         assert len(leaves) == 2
         r = const("r")
@@ -205,7 +205,7 @@ class TestPartitionedDnta:
         g = SchematicPi2Grammar(
             sig, ((alpha,),), ((Var("b1"),),), (const("r"),), (t1(alpha),)
         )
-        sehs, _ = build_sehs(pb, g)
+        sehs = build_sehs(pb, g)
         assert partitioned_dnta(sehs) == frozenset()
 
     def test_benchmark_leaf_family_size(self):
@@ -213,14 +213,14 @@ class TestPartitionedDnta:
 
         for n in (2, 3):
             sn = generate_sn(n)
-            sehs, _ = build_sehs(sn.problem, sn.grammar)
+            sehs = build_sehs(sn.problem, sn.grammar)
             assert len(partitioned_dnta(sehs)) == n * (n - 1) * 2 ** (n - 1)
 
     def test_benchmark_leaf_family_content(self):
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(2)
-        sehs, _ = build_sehs(sn.problem, sn.grammar)
+        sehs = build_sehs(sn.problem, sn.grammar)
         f = lambda t: App("f", (t,))
         g = lambda t: App("g", (t,))
         fi = lambda i, t: App(f"f{i}", (t,))
@@ -275,7 +275,7 @@ def allowed_literals(sehs, ctx, idx):
 class TestInAllowed:
     def test_allowed_literals_on_swap_pair(self):
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         ctx = _Ctx(sehs)
         for idx in range(len(sehs.leaves)):
             allowed = allowed_literals(sehs, ctx, idx)
@@ -285,7 +285,7 @@ class TestInAllowed:
 
     def test_allowed_literals_empty(self):
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         # A leaf without an alpha part admits no literal.
         vars(sehs)["leaves"] = (frozenset({nlit("P", const("r"), Var("b1"))}),)
         ctx = _Ctx(sehs)
@@ -296,7 +296,7 @@ class TestInAllowed:
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(2)
-        sehs, _ = build_sehs(sn.problem, sn.grammar)
+        sehs = build_sehs(sn.problem, sn.grammar)
         ctx = _Ctx(sehs)
         f = lambda t: App("f", (t,))
         target = lit("P", x, f(y))
@@ -305,7 +305,7 @@ class TestInAllowed:
 
     def test_swap_pair_allowed_sets(self):
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         ctx = _Ctx(sehs)
         P = lit("P", x, y)
         Q = lit("Q", x, y)
@@ -316,7 +316,7 @@ class TestInAllowed:
 
     def test_subset_closure(self):
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         ctx = _Ctx(sehs)
         for idx in range(len(sehs.leaves)):
             big = frozenset(allowed_literals(sehs, ctx, idx))
@@ -328,7 +328,7 @@ class TestInAllowed:
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(2)
-        sehs, _ = build_sehs(sn.problem, sn.grammar)
+        sehs = build_sehs(sn.problem, sn.grammar)
         ctx = _Ctx(sehs)
         f = lambda t: App("f", (t,))
         target = frozenset({lit("P", x, f(y))})
@@ -378,7 +378,7 @@ def ground_witness_sehs():
         sig, ("x1",), ("y1",), And(Atom("P", (x1, d)), Atom("R", (d,))), Atom("P", (c, y1))
     )
     g = SchematicPi2Grammar(sig, ((alpha,),), ((Var("b1"),),), (c,), (App("f", (alpha,)), d))
-    return build_sehs(pb, g)[0]
+    return build_sehs(pb, g)
 
 
 def test_masks_match_the_leaf_definitions():
@@ -394,7 +394,7 @@ def test_masks_match_the_leaf_definitions():
     cases = [(ground_witness_sehs(), [frozenset({lit("R", y), lit("P", x, y)})])]
     problems = [load(p.name) for p in sorted(PROBLEM_DIR.glob("*.p2"))]
     for pf in problems + [generate_sn(n) for n in range(2, 7)]:
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         units = clauses_from_pool(naive_pool(sehs), 1)
         # A two-literal clause has 2^p sol picks; S_n has p = n.
         pairs = clauses_from_pool(sorted(naive_pool(sehs), key=literal_key)[:4], 2)
@@ -403,7 +403,12 @@ def test_masks_match_the_leaf_definitions():
         cases.append((sehs, units + pairs + sorted(randoms, key=clause_key)))
     for seed in range(120):
         sehs = random_sehs(random.Random(4200 + seed), rich=seed % 2 == 0, max_leaves=6)
-        cases.append((sehs, random_starting_set(random.Random(4400 + seed), rich=seed % 3 != 2)))
+        clauses = random_starting_set(random.Random(4400 + seed), rich=seed % 3 != 2)
+        if seed % 2 == 0:
+            # Pool pairs reach the picks whose instance under a ground
+            # witness has no alpha (T2'); random starting sets rarely do.
+            clauses |= frozenset(clauses_from_pool(naive_pool(sehs), 2))
+        cases.append((sehs, clauses))
     hits = Counter()
     for sehs, clauses in cases:
         ctx = _Ctx(sehs)
@@ -421,7 +426,7 @@ def test_masks_match_the_leaf_definitions():
 class TestFilters:
     def test_swap_pair_joint_clause(self):
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         joint = frozenset([frozenset({lit("P", x, y), lit("Q", x, y)})])
         cl = cl_filter(joint, sehs)
         assert cl == frozenset({joint})
@@ -429,7 +434,7 @@ class TestFilters:
 
     def test_swap_pair_unit_clause(self):
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         unit = frozenset([frozenset({lit("P", x, y)})])
         sol = sol_filter(cl_filter(unit, sehs), sehs)
         assert sol == frozenset({unit})
@@ -439,7 +444,7 @@ class TestFilters:
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(3)
-        sehs, _ = build_sehs(sn.problem, sn.grammar)
+        sehs = build_sehs(sn.problem, sn.grammar)
         f = lambda t: App("f", (t,))
         unit = frozenset([frozenset({lit("P", x, f(y))})])
         sol = sol_filter(cl_filter(unit, sehs), sehs)
@@ -449,7 +454,7 @@ class TestFilters:
         # T3 and T3': picks whose instances hold a complementary pair close
         # every leaf, also where no single pick closes one by T1/T2 (T1'/T2').
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         contradiction = frozenset([frozenset({lit("Q", y, x), nlit("Q", y, x)})])
         assert cl_filter(contradiction, sehs) == frozenset({contradiction})
         assert sol_filter([contradiction], sehs) == frozenset()
@@ -460,7 +465,7 @@ class TestFilters:
 
     def test_empty_starting_set(self):
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         assert cl_filter(frozenset(), sehs) == frozenset()
         assert sol_filter(frozenset(), sehs) == frozenset()
 
@@ -472,7 +477,7 @@ class TestPools:
         f = lambda t: App("f", (t,))
         for n in (2, 3, 4, 5):
             sn = generate_sn(n)
-            sehs, _ = build_sehs(sn.problem, sn.grammar)
+            sehs = build_sehs(sn.problem, sn.grammar)
             pool, unifiable = gstar_pool(sehs)
             assert pool == frozenset({lit("P", x, f(y))})
             assert unifiable
@@ -489,13 +494,13 @@ class TestPools:
             Or(Atom("P", (Var("y1"),)), Not(Atom("P", (Var("y1"),)))),
         )
         g = SchematicPi2Grammar(sig, ((alpha,),), ((Var("b1"),),), (const("r"),), (t1(alpha),))
-        sehs, _ = build_sehs(pb, g)
+        sehs = build_sehs(pb, g)
         pool, unifiable = gstar_pool(sehs)
         assert pool == frozenset() and unifiable
 
     def test_naive_pool_two_bases(self):
         pf = two_bases()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         pool = naive_pool(sehs)
         assert lit("P", x, y) in pool
         assert lit("Q", x, y) in pool
@@ -506,7 +511,7 @@ class TestPools:
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(2)
-        sehs, _ = build_sehs(sn.problem, sn.grammar)
+        sehs = build_sehs(sn.problem, sn.grammar)
         f = lambda t: App("f", (t,))
         assert lit("P", x, f(y)) in naive_pool(sehs)
 
@@ -519,7 +524,7 @@ class TestPools:
 class TestClauseSets:
     def test_smallest_first_order(self):
         pf = two_bases()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         clauses = clauses_from_pool(naive_pool(sehs), max_clause_size=3)
         keys = {c: clause_key(c) for c in clauses}
         expected = [
@@ -575,12 +580,12 @@ def balance_verdict(sehs, clauses):
 class TestVerifyAndBalance:
     def test_two_step_verify(self):
         pf = two_step()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         assert verify_solution(sehs, frozenset([frozenset({lit("P", x, y)})]))
 
     def test_swap_pair_joint_not_a_solution(self):
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         joint = frozenset([frozenset({lit("P", x, y), lit("Q", x, y)})])
         assert not verify_solution(sehs, joint)
         with pytest.raises(NotASolution):
@@ -608,7 +613,7 @@ class TestVerifyAndBalance:
         counts = Counter()
         for loader in (two_step, swap_pair, unbalanced_pair, shared_base, two_bases):
             pf = loader()
-            sehs, _ = build_sehs(pf.problem, pf.grammar)
+            sehs = build_sehs(pf.problem, pf.grammar)
             clauses = clauses_from_pool(naive_pool(sehs), max_clause_size=2)
             sets = [frozenset(c) for k in (1, 2) for c in itertools.combinations(clauses, k)]
             verdicts = [balance_verdict(sehs, cs) for cs in sets]
@@ -623,14 +628,14 @@ class TestVerifyAndBalance:
         for n in (2, 3, 4):
             sn = generate_sn(n)
             report = introduce_cut(sn.problem, sn.grammar)
-            sehs, _ = build_sehs(sn.problem, sn.grammar)
+            sehs = build_sehs(sn.problem, sn.grammar)
             assert report.balanced and walk_verdict(sehs, report.solutions[0])
 
     def test_benchmark_balanced(self):
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(2)
-        sehs, _ = build_sehs(sn.problem, sn.grammar)
+        sehs = build_sehs(sn.problem, sn.grammar)
         f = lambda t: App("f", (t,))
         cs = frozenset([frozenset({lit("P", x, f(y))})])
         assert verify_solution(sehs, cs)
@@ -638,7 +643,7 @@ class TestVerifyAndBalance:
 
     def test_unbalanced_fixture(self):
         pf = unbalanced_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         f1 = lambda t: App("f1", (t,))
         f2 = lambda t: App("f2", (t,))
         cs = frozenset([frozenset({lit("R", f1(x), y), nlit("R", y, f2(x))})])
@@ -652,7 +657,7 @@ class TestVerifyAndBalance:
         # behaviour; the pipeline still solves the instance with a unit
         # clause.
         pf = unbalanced_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         f1 = lambda t: App("f1", (t,))
         f2 = lambda t: App("f2", (t,))
         clause = frozenset({lit("R", f1(x), y), nlit("R", y, f2(x))})
@@ -752,7 +757,7 @@ class TestIntroduceCut:
             introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
             assert len(built) == 1
         pf = swap_pair()
-        sehs, _ = build_sehs(pf.problem, pf.grammar)
+        sehs = build_sehs(pf.problem, pf.grammar)
         built.clear()
         survivors = sol_filter(cl_filter(clauses_from_pool(naive_pool(sehs), 2), sehs, 2), sehs)
         assert survivors and all(is_balanced(sehs, cs) for cs in survivors)

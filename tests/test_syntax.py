@@ -32,13 +32,10 @@ from pi2cut.syntax import (
     const,
     dnf_of,
     dual,
-    dual_set,
     formula_to_sexp,
     free_vars,
     is_reserved,
     literal_to_sexp,
-    neg,
-    pos,
     sharp_count,
     substitute,
     substitute_term,
@@ -108,26 +105,22 @@ class TestFreeVars:
 
 class TestDuals:
     def test_dual_flips(self):
-        lit = pos(P(c, App("g", (Var("b1"),))))
-        assert dual(lit) == neg(P(c, App("g", (Var("b1"),))))
-
-    def test_dual_set(self):
-        lits = {pos(P(a, b)), neg(P(b, c))}
-        assert dual_set(lits) == {neg(P(a, b)), pos(P(b, c))}
+        lit = Literal(True, P(c, App("g", (Var("b1"),))))
+        assert dual(lit) == Literal(False, P(c, App("g", (Var("b1"),))))
 
 
 class TestDnf:
     def test_unit_unit(self):
-        cs = frozenset([frozenset([pos(P(Var(X), f(Var(Y))))])])
+        cs = frozenset([frozenset([Literal(True, P(Var(X), f(Var(Y))))])])
         assert formula_to_sexp(dnf_of(cs)) == "(P x (f y))"
 
     def test_one_clause_two_literals(self):
         q = Atom("Q", (Var(X), Var(Y)))
-        cs = frozenset([frozenset([pos(P(Var(X), Var(Y))), pos(q)])])
+        cs = frozenset([frozenset([Literal(True, P(Var(X), Var(Y))), Literal(True, q)])])
         assert dnf_of(cs) == And(P(Var(X), Var(Y)), q)
 
     def test_negative_unit(self):
-        cs = frozenset([frozenset([neg(P(a, b))])])
+        cs = frozenset([frozenset([Literal(False, P(a, b))])])
         assert dnf_of(cs) == Not(P(a, b))
 
     def test_rejects_empty(self):
@@ -137,7 +130,7 @@ class TestDnf:
             dnf_of(frozenset([frozenset()]))
 
     def test_order_insensitive(self):
-        lits = [pos(P(a, b)), neg(P(b, c)), pos(Atom("Q", (a, a)))]
+        lits = [Literal(True, P(a, b)), Literal(False, P(b, c)), Literal(True, Atom("Q", (a, a)))]
         c1: Clause = frozenset(lits[:2])
         c2: Clause = frozenset(lits[2:])
         one = dnf_of(frozenset([c1, c2]))
@@ -370,8 +363,8 @@ def test_keyword_positional_and_default_construction():
         assert cls(p, Not(p)) is not cls(Not(p), p)
     assert ForAll(var="x", body=p) is ForAll("x", p)
     assert Exists("x", p) is not ForAll("x", p)
-    assert Literal(positive=False, atom=p) is neg(p)
-    assert pos(p) is not neg(p)
+    assert Literal(positive=False, atom=p) is Literal(False, p)
+    assert Literal(True, p) is not Literal(False, p)
 
 
 def test_nodes_are_immutable():
@@ -380,7 +373,7 @@ def test_nodes_are_immutable():
     nodes = [
         (x, "name"), (App("f", (x,)), "fn"), (p, "args"), (Not(p), "sub"),
         (And(p, p), "left"), (Or(p, p), "right"), (Imp(p, p), "left"),
-        (ForAll("x", p), "var"), (Exists("x", p), "body"), (pos(p), "positive"),
+        (ForAll("x", p), "var"), (Exists("x", p), "body"), (Literal(True, p), "positive"),
     ]
     for node, field in nodes:
         with pytest.raises(FrozenInstanceError):
@@ -397,7 +390,7 @@ def test_repr_unchanged():
     x = Var("x")
     assert repr(App("f", (x,))) == "App(fn='f', args=(Var(name='x'),))"
     assert repr(const("c")) == "App(fn='c', args=())"
-    assert repr(neg(Atom("P", (x, const("c"))))) == (
+    assert repr(Literal(False, Atom("P", (x, const("c"))))) == (
         "Literal(positive=False, atom=Atom(pred='P', args=(Var(name='x'), App(fn='c', args=()))))"
     )
     f = ForAll("x", Exists("y", Imp(And(Atom("P"), Or(Atom("Q"), Not(Atom("R")))), Atom("P"))))
