@@ -43,11 +43,15 @@ INPUT_ERROR = 2
 CHECK_ERROR = 3
 
 
+class _Unreadable(Exception):
+    """An input file that cannot be read as UTF-8 text."""
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ParseError(str(e), 0, 0)
+    except (OSError, UnicodeDecodeError) as e:
+        raise _Unreadable(f"{path}: {getattr(e, 'strerror', None) or e}") from None
 
 
 def _stats_rows(stats: SearchStats) -> list[tuple[str, str]]:
@@ -242,7 +246,8 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return CHECK_ERROR
-    except (ParseError, SyntaxError_, GrammarError, BenchmarkError, SolverError) as e:
+    except (ParseError, SyntaxError_, GrammarError, BenchmarkError, SolverError,
+            _Unreadable) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except RecursionError:

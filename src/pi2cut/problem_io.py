@@ -40,6 +40,7 @@ from .syntax import (
     beta,
     clause_key,
     formula_to_sexp,
+    is_quantifier_free,
     is_reserved,
     literal_to_sexp,
     term_to_sexp,
@@ -212,12 +213,17 @@ def parse_problem(text: str) -> ProblemFile:
     forall_vars = var_block("forall-vars")
     exists_vars = var_block("exists-vars")
 
-    antecedent = parse_formula(sections["antecedent"].items[1], sig, set(forall_vars))
-    succedent = parse_formula(sections["succedent"].items[1], sig, set(exists_vars))
-    try:
-        problem = PrenexProblem(sig, forall_vars, exists_vars, antecedent, succedent)
-    except SyntaxError_ as e:
-        raise ParseError(str(e), 1, 1)
+    def matrix(name: str, block: tuple[str, ...]) -> Formula:
+        # The one `PrenexProblem` check the reading above leaves open.
+        node = sections[name].items[1]
+        f = parse_formula(node, sig, set(block))
+        if not is_quantifier_free(f):
+            raise ParseError("matrices must be quantifier-free", node.line, node.col)
+        return f
+
+    antecedent = matrix("antecedent", forall_vars)
+    succedent = matrix("succedent", exists_vars)
+    problem = PrenexProblem(sig, forall_vars, exists_vars, antecedent, succedent)
 
     gsec = sections["grammar"]
     parts = _named_lists(gsec.items[1:], "grammar part", _GRAMMAR_PARTS)

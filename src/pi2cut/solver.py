@@ -474,6 +474,11 @@ class SolverOptions:
     max_candidates: int = 10**6
     all_solutions: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("max_clauses", "max_clause_size", "max_candidates"):
+            if getattr(self, name) < 0:
+                raise SolverError(f"{name} must not be negative, got {getattr(self, name)}")
+
 
 @dataclass
 class SolutionReport:

@@ -14,6 +14,7 @@ form once computed.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Any, Iterable, Mapping, Sequence
@@ -46,30 +47,21 @@ class SyntaxError_(Exception):
 # ---------------------------------------------------------------------------
 # Hash-consed nodes
 #
-# Terms, formulas and literals are interned at construction: each class
-# keeps one table from field tuple to node and returns the existing node
-# when there is one, so structurally equal nodes are one object, and
-# equality and hashing are the default identity versions.  Each node also
-# keeps its canonical s-expression once printed and, for terms and
-# formulas, its free variables once computed.
+# Terms, formulas and literals are interned at construction.  The node
+# classes only declare their fields (`__match_args__`, in order) and any
+# default; `_Interned.__new__` is their one constructor.  Each class gets
+# its own table from field tuple to node, so structurally equal nodes of
+# one class are one object, equal field tuples in two classes stay two
+# nodes, and equality and hashing are the default identity versions.
+# Each node also keeps its canonical s-expression once printed and, for
+# terms and formulas, its free variables once computed.
 #
-# The tables are deliberate module-level state.  They hold every distinct
+# The tables are deliberate per-class state.  They hold every distinct
 # node for the life of the process (the command line runs one process per
 # command); they can change no result, only object identity and memory.
 
 _new = object.__new__
 _set = object.__setattr__
-
-_VARS: dict[str, Var] = {}
-_APPS: dict[tuple[str, tuple[Term, ...]], App] = {}
-_ATOMS: dict[tuple[str, tuple[Term, ...]], Atom] = {}
-_NOTS: dict[Formula, Not] = {}
-_ANDS: dict[tuple[Formula, Formula], And] = {}
-_ORS: dict[tuple[Formula, Formula], Or] = {}
-_IMPS: dict[tuple[Formula, Formula], Imp] = {}
-_FORALLS: dict[tuple[str, Formula], ForAll] = {}
-_EXISTS: dict[tuple[str, Formula], Exists] = {}
-_LITERALS: dict[tuple[bool, Atom], Literal] = {}
 
 
 class _Interned:
@@ -79,6 +71,34 @@ class _Interned:
 
     __slots__ = ("_key", "_fv")
     __match_args__: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+    _table: dict[tuple[object, ...], Any]
+    __signature__: inspect.Signature
+
+    def __init_subclass__(cls) -> None:
+        cls._table = {}
+        cls.__signature__ = inspect.Signature([
+            inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                              default=cls._defaults.get(name, inspect.Parameter.empty))
+            for name in cls.__match_args__
+        ])
+
+    def __new__(cls, *fields: Any, **named: Any) -> Any:
+        node = cls._table.get(fields)
+        if node is None or named:
+            if named or len(fields) != len(cls.__match_args__):
+                # Keywords and defaults, checked as a call would be.
+                bound = cls.__signature__.bind(*fields, **named)
+                bound.apply_defaults()
+                fields = bound.args
+                node = cls._table.get(fields)
+            if node is None:
+                node = cls._table[fields] = _new(cls)
+                for name, value in zip(cls.__match_args__, fields):
+                    _set(node, name, value)
+                _set(node, "_key", None)
+                _set(node, "_fv", None)
+        return node
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -96,17 +116,6 @@ class _Interned:
         return f"{type(self).__name__}({fields})"
 
 
-def _pair(table: dict[Any, Any], cls: type, key: tuple[Any, Any], first: str, second: str) -> Any:
-    """A new node of a two-field class, entered in its table."""
-    node = _new(cls)
-    _set(node, first, key[0])
-    _set(node, second, key[1])
-    _set(node, "_key", None)
-    _set(node, "_fv", None)
-    table[key] = node
-    return node
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -120,30 +129,13 @@ class Var(Term):
     __match_args__ = ("name",)
     name: str
 
-    def __new__(cls, name: str) -> Var:
-        node = _VARS.get(name)
-        if node is None:
-            node = _VARS[name] = _new(cls)
-            _set(node, "name", name)
-            _set(node, "_key", name)
-            _set(node, "_fv", None)
-        return node
-
 
 class App(Term):
     __slots__ = ("fn", "args")
     __match_args__ = ("fn", "args")
+    _defaults = {"args": ()}
     fn: str
     args: tuple[Term, ...]
-
-    def __new__(cls, fn: str, args: tuple[Term, ...] = ()) -> App:
-        key = (fn, args)
-        node = _APPS.get(key)
-        if node is None:
-            node = _pair(_APPS, cls, key, "fn", "args")
-            if not args:
-                _set(node, "_key", fn)
-        return node
 
 
 def const(name: str) -> App:
@@ -161,28 +153,15 @@ class Formula(_Interned):
 class Atom(Formula):
     __slots__ = ("pred", "args")
     __match_args__ = ("pred", "args")
+    _defaults = {"args": ()}
     pred: str
     args: tuple[Term, ...]
-
-    def __new__(cls, pred: str, args: tuple[Term, ...] = ()) -> Atom:
-        key = (pred, args)
-        node = _ATOMS.get(key)
-        return _pair(_ATOMS, cls, key, "pred", "args") if node is None else node
 
 
 class Not(Formula):
     __slots__ = ("sub",)
     __match_args__ = ("sub",)
     sub: Formula
-
-    def __new__(cls, sub: Formula) -> Not:
-        node = _NOTS.get(sub)
-        if node is None:
-            node = _NOTS[sub] = _new(cls)
-            _set(node, "sub", sub)
-            _set(node, "_key", None)
-            _set(node, "_fv", None)
-        return node
 
 
 class And(Formula):
@@ -191,22 +170,12 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def __new__(cls, left: Formula, right: Formula) -> And:
-        key = (left, right)
-        node = _ANDS.get(key)
-        return _pair(_ANDS, cls, key, "left", "right") if node is None else node
-
 
 class Or(Formula):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
     left: Formula
     right: Formula
-
-    def __new__(cls, left: Formula, right: Formula) -> Or:
-        key = (left, right)
-        node = _ORS.get(key)
-        return _pair(_ORS, cls, key, "left", "right") if node is None else node
 
 
 class Imp(Formula):
@@ -215,11 +184,6 @@ class Imp(Formula):
     left: Formula
     right: Formula
 
-    def __new__(cls, left: Formula, right: Formula) -> Imp:
-        key = (left, right)
-        node = _IMPS.get(key)
-        return _pair(_IMPS, cls, key, "left", "right") if node is None else node
-
 
 class ForAll(Formula):
     __slots__ = ("var", "body")
@@ -227,22 +191,12 @@ class ForAll(Formula):
     var: str
     body: Formula
 
-    def __new__(cls, var: str, body: Formula) -> ForAll:
-        key = (var, body)
-        node = _FORALLS.get(key)
-        return _pair(_FORALLS, cls, key, "var", "body") if node is None else node
-
 
 class Exists(Formula):
     __slots__ = ("var", "body")
     __match_args__ = ("var", "body")
     var: str
     body: Formula
-
-    def __new__(cls, var: str, body: Formula) -> Exists:
-        key = (var, body)
-        node = _EXISTS.get(key)
-        return _pair(_EXISTS, cls, key, "var", "body") if node is None else node
 
 
 def conj(formulas: Sequence[Formula]) -> Formula:
@@ -399,11 +353,6 @@ class Literal(_Interned):
     positive: bool
     atom: Atom
 
-    def __new__(cls, positive: bool, atom: Atom) -> Literal:
-        key = (positive, atom)
-        node = _LITERALS.get(key)
-        return _pair(_LITERALS, cls, key, "positive", "atom") if node is None else node
-
     def formula(self) -> Formula:
         return self.atom if self.positive else Not(self.atom)
 
@@ -446,8 +395,12 @@ class Sequent:
 def term_to_sexp(t: Term) -> str:
     s = t._key
     if s is None:
-        assert isinstance(t, App)
-        s = "(" + " ".join([t.fn] + [term_to_sexp(a) for a in t.args]) + ")"
+        if isinstance(t, Var):
+            s = t.name
+        elif not t.args:
+            s = t.fn
+        else:
+            s = "(" + " ".join([t.fn] + [term_to_sexp(a) for a in t.args]) + ")"
         _set(t, "_key", s)
     return s
 

@@ -120,6 +120,40 @@ class TestSolve:
         assert err.startswith("error: input nested too deeply")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--max-clauses", "--max-clause-size", "--max-candidates"])
+    def test_negative_bound_exit_two(self, capsys, flag):
+        # Each used to run, ending in no-solution or cap-exceeded.
+        assert main(["solve", TWO_STEP, flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must not be negative" in captured.err
+        assert main(["solve", TWO_STEP, flag, "0", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] in ("no-solution", "cap-exceeded")
+
+
+def _unreadable(tmp_path):
+    """A missing path, a directory and a file that is not UTF-8 text, each
+    with the reason `pi2cut` gives for it."""
+    binary = tmp_path / "bin.p2"
+    binary.write_bytes(b"\xff\xfe(signature)\n")
+    return [
+        (str(tmp_path / "missing.p2"), "No such file or directory"),
+        (str(tmp_path), "Is a directory"),
+        (str(binary), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "{}"], ["check", "{}"], ["language", "{}"], ["solve", TWO_STEP, "--pool", "file:{}"]],
+)
+def test_unreadable_input_exit_two(tmp_path, capsys, argv):
+    # Non-UTF-8 input used to end in a traceback; an unreadable path was
+    # reported at a made-up position 0:0.
+    for path, reason in _unreadable(tmp_path):
+        assert main([arg.format(path) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
 
 class TestCheck:
     def test_tampered_proof_fails(self, tmp_path, capsys):

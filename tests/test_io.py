@@ -166,6 +166,33 @@ class TestProblemFiles:
             parse_problem(pf_text.replace(old, new, 1))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "(antecedent (or (P x1 (t1 x1)) (P x1 (t2 x1))))",
+                "(antecedent (forall z (P x1 z)))",
+                "12:13: matrices must be quantifier-free",
+            ),
+            (
+                "(P (r2 y1) y2)",
+                "(exists z (P (r2 y1) z))",
+                "13:12: matrices must be quantifier-free",
+            ),
+        ],
+    )
+    def test_quantified_matrix_positioned(self, tmp_path, capsys, old, new, message):
+        # Both used to be reported at 1:1.
+        pf_text = (PROBLEM_DIR / "two_step.p2").read_text()
+        assert old in pf_text
+        bad = tmp_path / "bad.p2"
+        bad.write_text(pf_text.replace(old, new))
+        with pytest.raises(ParseError) as err:
+            parse_problem(pf_text.replace(old, new))
+        assert str(err.value) == message
+        assert main(["solve", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_misspelled_section_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.p2"
         text = (PROBLEM_DIR / "two_step.p2").read_text()

@@ -407,3 +407,47 @@ def test_match_args():
             assert name == "x"
         case _:
             pytest.fail("literal did not match its fields")
+
+
+_P = Atom("P", (Var("x"),))
+_Q = Atom("Q")
+# Each class with the fields of one node, and the classes whose own node
+# with the same field tuple must be a node of their own.
+_NODE_TABLE = [
+    (Var, ("x",), ()),
+    (App, ("P", ()), (Atom,)),
+    (Atom, ("P", ()), (App,)),
+    (Not, (_P,), ()),
+    (And, (_P, _Q), (Or, Imp)),
+    (Or, (_P, _Q), (And, Imp)),
+    (Imp, (_P, _Q), (And, Or)),
+    (ForAll, ("x", _P), (Exists,)),
+    (Exists, ("x", _P), (ForAll,)),
+    (Literal, (True, _P), ()),
+]
+
+
+@pytest.mark.parametrize("cls, fields, twins", _NODE_TABLE, ids=[r[0].__name__ for r in _NODE_TABLE])
+def test_one_constructor_for_every_class(cls, fields, twins):
+    names = cls.__match_args__
+    node = cls(*fields)
+    assert type(node) is cls
+    assert tuple(getattr(node, name) for name in names) == fields
+    assert cls(**dict(zip(names, fields))) is node
+    bad_calls = [
+        (fields + (fields[-1],), {}),  # one positional field too many
+        ((), dict(zip(names[1:], fields[1:]))),  # the first field missing
+        (fields, {"other": 1}),  # an unknown keyword
+        (fields, {names[0]: fields[0]}),  # a field given twice
+    ]
+    if cls in (App, Atom):
+        assert cls(*fields[:-1]) is node  # `args` defaults to ()
+    else:
+        bad_calls.append((fields[:-1], {}))  # the last field missing
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    for twin in twins:
+        other = twin(*fields)
+        assert type(other) is twin and other is not node
+        assert twin(*fields) is other and cls(*fields) is node
