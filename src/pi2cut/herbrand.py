@@ -125,6 +125,15 @@ def herbrand_term_set(pb: PrenexProblem, inst: HerbrandInstanceSet) -> frozenset
 # Extended sequents
 
 
+def cut_instances(matrix: Formula, g: SchematicPi2Grammar) -> tuple[list[Formula], list[Formula]]:
+    """The cut matrix's alpha instances A[x\\alpha, y\\t_i], one per
+    existential witness term, and its beta instances A[x\\r_j, y\\b_j], one
+    per universal witness term."""
+    alphas = [substitute(matrix, {X: Var(ALPHA), Y: t}) for t in g.t_terms]
+    betas = [substitute(matrix, {X: r, Y: Var(beta(j))}) for j, r in enumerate(g.r_terms, 1)]
+    return alphas, betas
+
+
 @dataclass(frozen=True)
 class ExtendedHerbrandSequent:
     """Instance data for a proof with one cut ``forall x exists y. A``.
@@ -149,33 +158,17 @@ class ExtendedHerbrandSequent:
     def cut_formula(self) -> Formula:
         return ForAll(X, Exists(Y, self.cut_matrix))
 
-    def alpha_instances(self) -> list[Formula]:
-        """A[x\\alpha, y\\t_i] for every existential witness term."""
-        return [
-            substitute(self.cut_matrix, {X: Var(ALPHA), Y: t})
-            for t in self.grammar.t_terms
-        ]
-
-    def beta_instances(self) -> list[Formula]:
-        """A[x\\r_j, y\\b_j] for every universal witness term."""
-        return [
-            substitute(self.cut_matrix, {X: r, Y: Var(beta(j))})
-            for j, r in enumerate(self.grammar.r_terms, 1)
-        ]
-
-    def f_instances(self) -> list[Formula]:
-        pb = self.problem
-        return [instantiate(pb.antecedent, pb.forall_vars, t) for t in self.grammar.f_tuples]
-
-    def g_instances(self) -> list[Formula]:
-        pb = self.problem
-        return [instantiate(pb.succedent, pb.exists_vars, t) for t in self.grammar.g_tuples]
+    def instance_sequent(self) -> Sequent:
+        """The F and G instances of the grammar's tuples."""
+        g = self.grammar
+        return midsequent(self.problem, HerbrandInstanceSet(g.f_tuples, g.g_tuples))
 
     def sequent(self) -> Sequent:
         from .syntax import Imp, conj, disj
 
-        bridge = Imp(disj(self.alpha_instances()), conj(self.beta_instances()))
-        return Sequent.of(self.f_instances() + [bridge], self.g_instances())
+        mid = self.instance_sequent()
+        alphas, betas = cut_instances(self.cut_matrix, self.grammar)
+        return Sequent(mid.left | {Imp(disj(alphas), conj(betas))}, mid.right)
 
     def complexity(self) -> int:
         """Tuple-slot count: every tuple coordinate and witness term once."""
@@ -288,17 +281,12 @@ def proof_from_eh(eh: ExtendedHerbrandSequent) -> Node:
     pb = eh.problem
     g = eh.grammar
     cutf = eh.cut_formula()
-    f_insts = eh.f_instances()
-    g_insts = eh.g_instances()
-    alpha_insts = eh.alpha_instances()
-    beta_insts = eh.beta_instances()
-
-    lean_left = is_tautology(Sequent.of(f_insts, alpha_insts))
-    lean_right = is_tautology(Sequent.of(beta_insts, g_insts))
-    if not lean_left and not is_tautology(Sequent.of(f_insts, alpha_insts + g_insts)):
-        raise NotTautological("extended sequent is not a tautology")
-    if not lean_right and not is_tautology(Sequent.of(f_insts + beta_insts, g_insts)):
-        raise NotTautological("extended sequent is not a tautology")
+    mid = eh.instance_sequent()
+    alphas, betas = cut_instances(eh.cut_matrix, g)
+    # A failed lean check adds the other side's instances to its branch;
+    # `_build_branch` raises `NotTautological` if that branch stays open.
+    lean_left = is_tautology(Sequent.of(mid.left, alphas))
+    lean_right = is_tautology(Sequent.of(betas, mid.right))
 
     universal = pb.universal()
     existential = pb.existential()

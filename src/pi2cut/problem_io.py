@@ -129,9 +129,16 @@ def parse_literal(node: SNode, sig: Signature, variables: set[str] | None) -> Li
 # Problem files
 
 
-def _tuple_of(node: SNode, sig: Signature, variables: set[str]) -> tuple[Term, ...]:
+def _tuple_of(
+    node: SNode, sig: Signature, variables: set[str], block: tuple[str, ...], start: int = 0
+) -> tuple[Term, ...]:
+    """The terms of a list from item `start` on, one per variable of the block."""
     lst = expect_list(node, "term tuple")
-    return tuple(parse_term(t, sig, variables) for t in lst.items)
+    items = lst.items[start:]
+    if len(items) != len(block):
+        msg = f"expected {len(block)} term(s), one per variable of ({' '.join(block)}), got {len(items)}"
+        raise ParseError(msg, lst.line, lst.col)
+    return tuple(parse_term(t, sig, variables) for t in items)
 
 
 def _parse_signature(lst: SList) -> Signature:
@@ -232,8 +239,8 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError(f"grammar is missing '{required}'", gsec.line, gsec.col)
     r_nodes = parts["r-terms"].items[1:]
     betas = {beta(j) for j in range(1, len(r_nodes) + 1)}
-    f_tuples = tuple(_tuple_of(t, sig, {ALPHA}) for t in parts["f-tuples"].items[1:])
-    g_tuples = tuple(_tuple_of(t, sig, betas) for t in parts["g-tuples"].items[1:])
+    f_tuples = tuple(_tuple_of(t, sig, {ALPHA}, forall_vars) for t in parts["f-tuples"].items[1:])
+    g_tuples = tuple(_tuple_of(t, sig, betas, exists_vars) for t in parts["g-tuples"].items[1:])
     r_terms = tuple(parse_term(t, sig, betas) for t in r_nodes)
     t_terms = tuple(parse_term(t, sig, {ALPHA}) for t in parts["t-terms"].items[1:])
     grammar = SchematicPi2Grammar(sig, f_tuples, g_tuples, r_terms, t_terms)
@@ -249,8 +256,8 @@ def parse_problem(text: str) -> ProblemFile:
             kind = head_of(lst, "hF or hG")
             if kind not in ("hF", "hG"):
                 raise ParseError("wrapped terms start with hF or hG", lst.line, lst.col)
-            args = tuple(parse_term(t, sig, set()) for t in lst.items[1:])
-            wrapped.append(WrappedTerm("F" if kind == "hF" else "G", args))
+            block = forall_vars if kind == "hF" else exists_vars
+            wrapped.append(WrappedTerm(kind[1], _tuple_of(lst, sig, set(), block, start=1)))
         herbrand = frozenset(wrapped)
 
     return ProblemFile(problem, grammar, herbrand)

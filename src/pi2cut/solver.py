@@ -1,21 +1,22 @@
 """Search for a cut matrix that turns instance data into a one-cut proof.
 
-Pipeline: the end-sequent instances of a schematic grammar form a reduced
-representation; each of its non-tautological leaves is one set of
+Pipeline: one `Sehs` per solve derives what does not depend on the
+matrix.  The end-sequent instances of a schematic grammar form its
+reduced representation; each non-tautological leaf of it is one set of
 antecedent literals (succedent atoms negated), and one index maps each
 literal to the leaves that hold it.  Candidate matrices are disjunctive
 normal forms over clause sets drawn from a starting set; two closure
 filters, set operations over that index, prune clause sets that cannot
-close every leaf, the survivors are verified outright, and a verified
-clause set is rendered into a checked proof with a single cut.
+close every leaf, the survivors are verified by SAT against the same
+instances, and a verified set becomes a checked proof with one cut.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
 from .calculus import is_tautology, non_tautological_leaves
@@ -31,6 +32,7 @@ from .grammar import (
     covers,
     gstar_of,
     reachable_literals,
+    rigid_language,
     validate,
 )
 # Unused here; stays importable because perfbench/tracer.py wraps solver.unifiable_pair.
@@ -39,6 +41,7 @@ from .herbrand import (
     ExtendedHerbrandSequent,
     HerbrandInstanceSet,
     PrenexProblem,
+    cut_instances,
     midsequent,
     proof_from_eh,
 )
@@ -51,6 +54,7 @@ from .syntax import (
     Formula,
     Literal,
     Sequent,
+    SyntaxError_,
     Var,
     X,
     Y,
@@ -109,89 +113,45 @@ class CapExceeded(SolverError):
 # The solving problem
 
 
+# A clause pick: the mask of the leaves it closes, and the ids of its instance.
+_Pick = tuple[int, frozenset[int]]
+# A per-solve cache on `Sehs`, outside its equality and repr.
+_cache = partial(field, default_factory=dict, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Sehs:
-    """A prenex problem plus a validated schematic grammar; the cut matrix
-    is the unknown, written as the binary predicate slot X."""
+    """The one per-solve object: a prenex problem plus a validated
+    schematic grammar, whose cut matrix is the unknown, written as the
+    binary predicate slot X.
+
+    It derives, once each and on first use, everything a solve needs that
+    does not depend on the matrix: the instance sequent (the reduced
+    representation), its leaves, one index of the leaves that hold each
+    literal, and each clause's picks.  The closure filters, the pools, the
+    search, the verifier and the balance test all read them from here."""
 
     problem: PrenexProblem
     grammar: SchematicPi2Grammar
+    _atom_ids: dict[Atom, int] = _cache()
+    _alpha_t: dict[tuple[Literal, int], Literal] = _cache()
+    _cl_pick: dict[tuple[Clause, int], _Pick] = _cache()
+    _sol_picks: dict[Clause, list[_Pick]] = _cache()
 
+    @cached_property
     def reduced_representation(self) -> Sequent:
+        """The F and G instances of the grammar's tuples."""
         g = self.grammar
         return midsequent(self.problem, HerbrandInstanceSet(g.f_tuples, g.g_tuples))
 
     @cached_property
     def leaves(self) -> tuple[frozenset[Literal], ...]:
-        """The leaves' literal sets in canonical order (by their sorted
-        literal keys), computed once."""
+        """The leaves' literal sets in canonical order (by their sorted literal keys)."""
         return tuple(sorted(partitioned_dnta(self), key=lambda l: sorted(map(literal_key, l))))
 
     @cached_property
-    def ctx(self) -> _Ctx:
-        """The closure tests over `leaves`, shared by the filters, the
-        search and the balance test."""
-        return _Ctx(self)
-
-
-def build_sehs(
-    pb: PrenexProblem,
-    g: SchematicPi2Grammar,
-    term_set: Iterable[WrappedTerm] | None = None,
-) -> Sehs:
-    violations = validate(g)
-    if violations:
-        raise GrammarError("; ".join(violations))
-    if g.f_tuples and len(g.f_tuples[0]) != len(pb.forall_vars):
-        raise SolverError("antecedent tuples do not match the universal block")
-    if g.g_tuples and len(g.g_tuples[0]) != len(pb.exists_vars):
-        raise SolverError("succedent tuples do not match the existential block")
-    wrapped = frozenset(term_set) if term_set is not None else None
-    if wrapped is not None and not covers(g, wrapped):
-        from .grammar import rigid_language
-
-        missing = sorted(wrapped - rigid_language(g), key=WrappedTerm.key)
-        raise CoverFailure(
-            "grammar does not generate: " + ", ".join(t.to_sexp() for t in missing)
-        )
-    return Sehs(pb, g)
-
-
-def partitioned_dnta(sehs: Sehs) -> frozenset[frozenset[Literal]]:
-    """The non-tautological leaves of the maximal derivation of the
-    reduced representation, each read as one set of antecedent literals:
-    succedent atoms negated, antecedent atoms positive.  No A/B/N split is
-    stored (`_Ctx` reads it from free variables); the name stays because
-    ``perfbench/tracer.py`` times this stage under it."""
-    return frozenset(
-        frozenset(
-            [Literal(False, a) for a in leaf.right]  # type: ignore[arg-type]
-            + [Literal(True, a) for a in leaf.left]  # type: ignore[arg-type]
-        )
-        for leaf in non_tautological_leaves(sehs.reduced_representation())
-    )
-
-
-# ---------------------------------------------------------------------------
-# Closure filters
-
-
-class _Ctx:
-    """The closure tests over one `Sehs`'s leaves: set operations on leaf
-    bit masks, read from one index of the leaves that hold each literal."""
-
-    def __init__(self, sehs: Sehs):
-        self.leaves = sehs.leaves
-        g = sehs.grammar
-        self.m = g.m
-        self.p = g.p
-        self.r_terms = g.r_terms
-        self.t_terms = g.t_terms
-        self._alpha_t: dict[tuple[Literal, int], Literal] = {}
-        self.all_leaves = (1 << len(self.leaves)) - 1
-        self._atom_ids: dict[Atom, int] = {}
-        self._cl_pick: dict[tuple[Clause, int], tuple[int, frozenset[int]]] = {}
-        self._sol_picks: dict[Clause, list[tuple[int, frozenset[int]]]] = {}
+    def all_leaves(self) -> int:
+        return (1 << len(self.leaves)) - 1
 
     @cached_property
     def _holders(self) -> dict[int, int]:
@@ -209,11 +169,17 @@ class _Ctx:
             mask |= self._holders.get(n, 0)
         return mask
 
+    def lit_id(self, lit: Literal) -> int:
+        """A signed number per literal: its atom's number, negated when the
+        literal is negative, so that a literal's dual is its negation."""
+        n = self._atom_ids.setdefault(lit.atom, len(self._atom_ids) + 1)
+        return n if lit.positive else -n
+
     def alpha_t(self, lit: Literal, i: int) -> Literal:
         key = (lit, i)
         if key not in self._alpha_t:
             self._alpha_t[key] = substitute_literal(
-                lit, {X: Var(ALPHA), Y: self.t_terms[i]}
+                lit, {X: Var(ALPHA), Y: self.grammar.t_terms[i]}
             )
         return self._alpha_t[key]
 
@@ -223,7 +189,7 @@ class _Ctx:
         An instance lies in a leaf's A part when the leaf holds it and it
         has ``alpha`` free."""
         out = 0
-        for i in range(self.p):
+        for i in range(self.grammar.p):
             mask = self.all_leaves
             for l in lits:
                 inst = self.alpha_t(l, i)
@@ -234,13 +200,7 @@ class _Ctx:
             out |= mask
         return out
 
-    def lit_id(self, lit: Literal) -> int:
-        """A signed number per literal: its atom's number, negated when the
-        literal is negative, so that a literal's dual is its negation."""
-        n = self._atom_ids.setdefault(lit.atom, len(self._atom_ids) + 1)
-        return n if lit.positive else -n
-
-    def cl_pick(self, clause: Clause, j: int) -> tuple[int, frozenset[int]]:
+    def cl_pick(self, clause: Clause, j: int) -> _Pick:
         """The clause picked for the j-th universal witness: the mask of the
         leaves it closes by T1 or T2, and the ids of its instance.  The
         instance has no ``alpha`` free (r-terms are over the b-variables),
@@ -249,19 +209,19 @@ class _Ctx:
         key = (clause, j)
         hit = self._cl_pick.get(key)
         if hit is None:
-            sub = {X: self.r_terms[j], Y: Var(beta(j + 1))}
+            sub = {X: self.grammar.r_terms[j], Y: Var(beta(j + 1))}
             ids = frozenset(self.lit_id(substitute_literal(l, sub)) for l in clause)
             hit = self._cl_pick[key] = (self.holding(-n for n in ids), ids)
         return hit
 
-    def sol_picks(self, clause: Clause) -> list[tuple[int, frozenset[int]]]:
+    def sol_picks(self, clause: Clause) -> list[_Pick]:
         """Each pick of one literal of the clause per existential witness:
         the mask of the leaves it closes by T1' or T2', and the ids of its
         alpha instance."""
         hit = self._sol_picks.get(clause)
         if hit is None:
             hit = []
-            for pick in itertools.product(sorted(clause, key=literal_key), repeat=self.p):
+            for pick in itertools.product(sorted(clause, key=literal_key), repeat=self.grammar.p):
                 insts = [self.alpha_t(l, i) for i, l in enumerate(pick)]
                 # T1': an instance without alpha lies in a leaf's N part
                 # exactly when the leaf holds it.
@@ -272,9 +232,45 @@ class _Ctx:
         return hit
 
 
-def _open_vectors(
-    picks: Iterable[Sequence[tuple[int, frozenset[int]]]], all_leaves: int
-) -> Iterator[bool]:
+def build_sehs(
+    pb: PrenexProblem,
+    g: SchematicPi2Grammar,
+    term_set: Iterable[WrappedTerm] | None = None,
+) -> Sehs:
+    violations = validate(g)
+    if violations:
+        raise GrammarError("; ".join(violations))
+    if g.f_tuples and len(g.f_tuples[0]) != len(pb.forall_vars):
+        raise SolverError("antecedent tuples do not match the universal block")
+    if g.g_tuples and len(g.g_tuples[0]) != len(pb.exists_vars):
+        raise SolverError("succedent tuples do not match the existential block")
+    wrapped = frozenset(term_set) if term_set is not None else None
+    if wrapped is not None and not covers(g, wrapped):
+        missing = sorted(wrapped - rigid_language(g), key=WrappedTerm.key)
+        raise CoverFailure("grammar does not generate: " + ", ".join(t.to_sexp() for t in missing))
+    return Sehs(pb, g)
+
+
+def partitioned_dnta(sehs: Sehs) -> frozenset[frozenset[Literal]]:
+    """The non-tautological leaves of the maximal derivation of the
+    reduced representation, each read as one set of antecedent literals:
+    succedent atoms negated, antecedent atoms positive.  No A/B/N split is
+    stored (the closure tests read it from free variables); the name stays
+    because ``perfbench/tracer.py`` times this stage under it."""
+    return frozenset(
+        frozenset(
+            [Literal(False, a) for a in leaf.right]  # type: ignore[arg-type]
+            + [Literal(True, a) for a in leaf.left]  # type: ignore[arg-type]
+        )
+        for leaf in non_tautological_leaves(sehs.reduced_representation)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Closure filters
+
+
+def _open_vectors(picks: Iterable[Sequence[_Pick]], all_leaves: int) -> Iterator[bool]:
     """For each pick vector whose masks leave a leaf open: do its
     instances hold a complementary pair?"""
     for vec in itertools.product(*picks):
@@ -286,45 +282,43 @@ def _open_vectors(
             yield any(-n in ids for n in ids)
 
 
-def _passes_cl(cand: Sequence[Clause], ctx: _Ctx) -> bool:
+def _passes_cl(cand: Sequence[Clause], sehs: Sehs) -> bool:
     """Every clause pick for the universal witnesses closes every leaf:
     a neutral dual (T1), a dual into the leaf's b-part (T2), or two picks
     that cancel each other (T3).  The leaf masks hold T1 and T2;
     interaction is consulted only for vectors whose masks leave a leaf open."""
-    return all(_open_vectors(_cl_picks(cand, ctx), ctx.all_leaves))
+    return all(_open_vectors(_cl_picks(cand, sehs), sehs.all_leaves))
 
 
-def _cl_picks(cand: Sequence[Clause], ctx: _Ctx) -> Iterator[list[tuple[int, frozenset[int]]]]:
+def _cl_picks(cand: Sequence[Clause], sehs: Sehs) -> Iterator[list[_Pick]]:
     """Per universal witness, the picks of each of the candidate's clauses."""
-    return ([ctx.cl_pick(c, j) for c in cand] for j in range(ctx.m))
+    return ([sehs.cl_pick(c, j) for c in cand] for j in range(sehs.grammar.m))
 
 
-def _passes_sol(cand: Sequence[Clause], ctx: _Ctx) -> bool:
+def _passes_sol(cand: Sequence[Clause], sehs: Sehs) -> bool:
     """Every literal pick for the existential witnesses closes every leaf:
     a neutral literal (T1'), a whole pick landing in the leaf's allowed
     alpha preimages (T2'), or two picks that cancel (T3').  The leaf masks
     hold T1' and T2'; interaction is consulted only for vectors whose masks
     leave a leaf open."""
-    return all(_open_vectors((ctx.sol_picks(c) for c in cand), ctx.all_leaves))
+    return all(_open_vectors(map(sehs.sol_picks, cand), sehs.all_leaves))
 
 
 def cl_filter(
     starting: Iterable[Clause], sehs: Sehs, max_clauses: int | None = None
 ) -> frozenset[ClauseSet]:
     """Subsets of the starting set that survive the universal-side filter."""
-    ctx = sehs.ctx
     clauses = set(starting)
     limit = len(clauses) if max_clauses is None else max_clauses
     return frozenset(
-        frozenset(cs) for cs in _clause_sets(clauses, limit) if _passes_cl(cs, ctx)
+        frozenset(cs) for cs in _clause_sets(clauses, limit) if _passes_cl(cs, sehs)
     )
 
 
 def sol_filter(candidates: Iterable[ClauseSet], sehs: Sehs) -> frozenset[ClauseSet]:
     """Members of the universal-side filter that also survive the
     existential-side filter."""
-    ctx = sehs.ctx
-    return frozenset(cs for cs in candidates if _passes_sol(sorted(cs, key=clause_key), ctx))
+    return frozenset(cs for cs in candidates if _passes_sol(sorted(cs, key=clause_key), sehs))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +388,7 @@ def gstar_pool(sehs: Sehs) -> tuple[frozenset[Literal], bool]:
     reach = {l: _generalise(l, sys, "gstar") for l in lefts | rights}
     right_reach = frozenset().union(*(reach[q] for q in rights))
     partnered = [l for l in lefts if not reach[l].isdisjoint(right_reach)]
-    ctx = sehs.ctx
-    unifiable = ctx.holding(map(ctx.lit_id, partnered)) == ctx.all_leaves
+    unifiable = sehs.holding(map(sehs.lit_id, partnered)) == sehs.all_leaves
     return frozenset().union(*(reach[l] for l in lefts)) & right_reach, unifiable
 
 
@@ -413,22 +406,26 @@ def clauses_from_pool(pool: Iterable[Literal], max_clause_size: int) -> list[Cla
 # Verification and balance
 
 
-def verify_solution(sehs: Sehs, clauses: ClauseSet) -> bool:
-    """Does the matrix DNF(clauses) make the schematic sequent valid?
-    Checked through the two split sequents (universal instances on the
-    left, existential instances on the right), which together are
-    equivalent to the full sequent."""
+def _cut_matrix(clauses: ClauseSet, error: type[Exception]) -> Formula:
+    """DNF(clauses); a literal outside {x, y} raises `error`, and an empty
+    set or clause raises `SyntaxError_`."""
     for c in clauses:
         for lit in c:
             if free_vars(lit.atom) - {X, Y}:
-                raise SolverError(f"literal outside {{x, y}}: {literal_key(lit)}")
-    matrix = dnf_of(clauses)
-    eh = ExtendedHerbrandSequent(sehs.problem, sehs.grammar, matrix)
-    f_insts = eh.f_instances()
-    g_insts = eh.g_instances()
-    left_ok = is_tautology(Sequent.of(f_insts + eh.beta_instances(), g_insts))
-    right_ok = is_tautology(Sequent.of(f_insts, eh.alpha_instances() + g_insts))
-    return left_ok and right_ok
+                raise error(f"literal outside {{x, y}}: {literal_key(lit)}")
+    return dnf_of(clauses)
+
+
+def verify_solution(sehs: Sehs, clauses: ClauseSet) -> bool:
+    """Does the matrix DNF(clauses) make the schematic sequent valid?
+    Checked through the two split sequents, the instance sequent with the
+    matrix's beta instances on the left and with its alpha instances on
+    the right, which together are equivalent to the full sequent."""
+    alphas, betas = cut_instances(_cut_matrix(clauses, SolverError), sehs.grammar)
+    mid = sehs.reduced_representation
+    return is_tautology(Sequent(mid.left.union(betas), mid.right)) and is_tautology(
+        Sequent(mid.left, mid.right.union(alphas))
+    )
 
 
 def is_balanced(sehs: Sehs, clauses: ClauseSet) -> bool:
@@ -446,15 +443,13 @@ def is_balanced(sehs: Sehs, clauses: ClauseSet) -> bool:
     `Sehs.leaves` count.  A leaf closes on an end pair when a picked
     instance meets one of its literals (the cl masks, and `holding` for
     the sol picks); otherwise it closes only on two picks that cancel."""
-    # Malformed clause sets raise as they do when the sequent is built.
-    ExtendedHerbrandSequent(sehs.problem, sehs.grammar, dnf_of(clauses))
-    ctx = sehs.ctx
+    _cut_matrix(clauses, SyntaxError_)
     cand = sorted(clauses, key=clause_key)
-    sol = ([(ctx.holding(ids), ids) for _, ids in ctx.sol_picks(c)] for c in cand)
+    sol = ([(sehs.holding(ids), ids) for _, ids in sehs.sol_picks(c)] for c in cand)
     balanced = True
     for cancels in itertools.chain(
-        _open_vectors(_cl_picks(cand, ctx), ctx.all_leaves),
-        _open_vectors(sol, ctx.all_leaves),
+        _open_vectors(_cl_picks(cand, sehs), sehs.all_leaves),
+        _open_vectors(sol, sehs.all_leaves),
     ):
         if not cancels:
             raise NotASolution("balance is defined for solutions only")
@@ -561,7 +556,6 @@ def introduce_cut(
     from .calculus import complexities
 
     sehs = build_sehs(pb, g, term_set)
-    ctx = sehs.ctx
     stats = SearchStats()
     clauses = _starting_clauses(sehs, options, stats)
     stats.candidates = stats.cl_passed = stats.sol_passed = 0
@@ -571,10 +565,10 @@ def introduce_cut(
             stats.caps_hit = True
             raise CapExceeded(stats, f"more than {options.max_candidates} candidates")
         stats.candidates += 1
-        if not _passes_cl(cand, ctx):
+        if not _passes_cl(cand, sehs):
             continue
         stats.cl_passed += 1
-        if not _passes_sol(cand, ctx):
+        if not _passes_sol(cand, sehs):
             continue
         stats.sol_passed += 1
         cs = frozenset(cand)

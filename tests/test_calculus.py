@@ -69,7 +69,7 @@ class TestMaximalDerivation:
 
     def test_shared_base_leaves(self):
         pf = load("unsolvable_shared_base.p2")
-        rr = build_sehs(pf.problem, pf.grammar).reduced_representation()
+        rr = build_sehs(pf.problem, pf.grammar).reduced_representation
         leaves = non_tautological_leaves(rr)
         alpha = Var(ALPHA)
         t1 = App("t1", (alpha,))
@@ -110,13 +110,13 @@ class TestNonTautologicalLeaves:
     def test_bundled_reduced_representations_match_the_tree(self):
         for path in sorted(PROBLEM_DIR.glob("*.p2")):
             pf = load(path.name)
-            rr = build_sehs(pf.problem, pf.grammar).reduced_representation()
+            rr = build_sehs(pf.problem, pf.grammar).reduced_representation
             assert non_tautological_leaves(rr) == reference_leaves(rr), path.name
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_benchmark_family_matches_the_tree(self, n):
         sn = generate_sn(n)
-        rr = build_sehs(sn.problem, sn.grammar).reduced_representation()
+        rr = build_sehs(sn.problem, sn.grammar).reduced_representation
         leaves = non_tautological_leaves(rr)
         assert leaves
         assert leaves == reference_leaves(rr)
@@ -515,10 +515,11 @@ class TestAncestry:
 
         pf = two_step()
         eh = ExtendedHerbrandSequent(pf.problem, pf.grammar, P(Var(X), Var(Y)))
-        (bridge,) = eh.sequent().left - set(eh.f_instances())
-        left = dict.fromkeys(eh.f_instances(), "end")
+        mid = eh.instance_sequent()
+        (bridge,) = eh.sequent().left - mid.left
+        left = dict.fromkeys(mid.left, "end")
         left[bridge] = "cut"
-        leaves = list(tagged_leaves(left, dict.fromkeys(eh.g_instances(), "end")))
+        leaves = list(tagged_leaves(left, dict.fromkeys(mid.right, "end")))
         alpha = Var(ALPHA)
         p1, p2 = (P(alpha, App(t, (alpha,))) for t in ("t1", "t2"))
         # The F instance puts P(alpha, t1 alpha) on the left; only the

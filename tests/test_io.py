@@ -193,6 +193,33 @@ class TestProblemFiles:
         assert main(["solve", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["solve", "language"])
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("(hF r1)", "(hF r1 r1)", "20:3: expected 1 term(s), one per variable of (x1), got 2"),
+            (
+                "(f-tuples (alpha))",
+                "(f-tuples (alpha alpha))",
+                "15:13: expected 1 term(s), one per variable of (x1), got 2",
+            ),
+            (
+                "(g-tuples (b1 b2))",
+                "(g-tuples (b1))",
+                "16:13: expected 2 term(s), one per variable of (y1 y2), got 1",
+            ),
+        ],
+    )
+    def test_tuple_arity_positioned(self, tmp_path, capsys, command, old, new, message):
+        # `language` used to print "covers herbrand-terms: false" with exit
+        # 0, and `solve` to exit 2 with an unpositioned message.
+        pf_text = (PROBLEM_DIR / "two_step.p2").read_text()
+        assert old in pf_text
+        bad = tmp_path / "bad.p2"
+        bad.write_text(pf_text.replace(old, new, 1))
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_misspelled_section_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.p2"
         text = (PROBLEM_DIR / "two_step.p2").read_text()

@@ -17,7 +17,6 @@ from pi2cut.herbrand import (
     proof_from_herbrand,
 )
 from pi2cut.solver import (
-    _Ctx,
     cl_filter,
     clauses_from_pool,
     gstar_pool,
@@ -155,10 +154,9 @@ def test_allowed_sets_subset_closed():
     for seed in range(40):
         rng = random.Random(1700 + seed)
         sehs = random_sehs(rng)
-        ctx = _Ctx(sehs)
         pool = sorted(naive_pool(sehs), key=str)
         # T2' at leaf idx, read from the mask.
-        allowed = lambda idx, lits: ctx.witness_mask(sorted(lits, key=literal_key)) >> idx & 1
+        allowed = lambda idx, lits: sehs.witness_mask(sorted(lits, key=literal_key)) >> idx & 1
         for idx in range(len(sehs.leaves)):
             prime = [l for l in pool if allowed(idx, {l})][:4]
             for k in range(2, len(prime) + 1):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -16,17 +17,24 @@ from fixtures import (
     x,
     y,
 )
-from pi2cut.calculus import ORIGIN_CUT, ORIGIN_END, tagged_leaves
+from gen import random_sehs, random_starting_set
+from pi2cut.calculus import ORIGIN_CUT, ORIGIN_END, is_tautology, tagged_leaves
 from pi2cut.grammar import GStarSystem, WrappedTerm, reachable_literals
-from pi2cut.herbrand import ExtendedHerbrandSequent, herbrand_term_set
+from pi2cut.herbrand import (
+    ExtendedHerbrandSequent,
+    NotTautological,
+    cut_instances,
+    herbrand_term_set,
+    proof_from_eh,
+)
 from pi2cut.problem_io import print_sequent
 from pi2cut.solver import (
     CoverFailure,
     NoSolutionUnderPool,
     NotASolution,
+    SolverError,
     SolverOptions,
     _clause_sets,
-    _Ctx,
     build_sehs,
     cl_filter,
     clauses_from_pool,
@@ -44,6 +52,7 @@ from pi2cut.syntax import (
     Atom,
     Imp,
     Literal,
+    SyntaxError_,
     Var,
     X,
     Y,
@@ -73,7 +82,7 @@ def t2(t):
 class TestBuildSehs:
     def test_shared_base_shape(self):
         pf = shared_base()
-        rr = build_sehs(pf.problem, pf.grammar).reduced_representation()
+        rr = build_sehs(pf.problem, pf.grammar).reduced_representation
         assert print_sequent(rr) == (
             "(sequent (left (and (P alpha (t1 alpha)) (Q alpha (t2 alpha))))"
             " (right (and (P r b1) (Q r b2))))"
@@ -81,7 +90,7 @@ class TestBuildSehs:
 
     def test_swap_pair_reduced_representation(self):
         pf = swap_pair()
-        rr = build_sehs(pf.problem, pf.grammar).reduced_representation()
+        rr = build_sehs(pf.problem, pf.grammar).reduced_representation
         assert print_sequent(rr) == (
             "(sequent (left (or (and (P alpha (t1 alpha)) (Q alpha (t2 alpha)))"
             " (and (P alpha (t2 alpha)) (Q alpha (t1 alpha)))))"
@@ -111,7 +120,7 @@ def reference_partition(sehs) -> tuple[frozenset[Literal], ...]:
     from pi2cut.calculus import NON_TAUT_LEAF, maximal_derivation
 
     out = set()
-    for node in maximal_derivation(sehs.reduced_representation()).leaves():
+    for node in maximal_derivation(sehs.reduced_representation).leaves():
         if node.rule != NON_TAUT_LEAF:
             continue
         lits = [Literal(False, a) for a in node.sequent.right]
@@ -122,10 +131,7 @@ def reference_partition(sehs) -> tuple[frozenset[Literal], ...]:
 
 class TestPartitionedDnta:
     def test_leaves_match_the_reference_split(self):
-        import random
-
         from fixtures import PROBLEM_DIR, load
-        from gen import random_sehs
         from pi2cut.benchmark import generate_sn
 
         problems = [load(p.name) for p in sorted(PROBLEM_DIR.glob("*.p2"))]
@@ -162,7 +168,7 @@ class TestPartitionedDnta:
 
         sn = generate_sn(3)
         sehs = build_sehs(sn.problem, sn.grammar)
-        rr = sehs.reduced_representation()
+        rr = sehs.reduced_representation
         by_atoms = {
             leaf.left | leaf.right: (leaf.left, leaf.right) for leaf in non_tautological_leaves(rr)
         }
@@ -260,25 +266,24 @@ class TestAntiInstances:
         assert lit("P", x, f(f1(x))) in got
 
 
-def allowed(ctx, idx, lits) -> bool:
+def allowed(sehs, idx, lits) -> bool:
     """T2' at leaf `idx`: do all the literals instantiate into its alpha
     part under one common existential witness?"""
-    return bool(ctx.witness_mask(sorted(lits, key=literal_key)) >> idx & 1)
+    return bool(sehs.witness_mask(sorted(lits, key=literal_key)) >> idx & 1)
 
 
-def allowed_literals(sehs, ctx, idx):
+def allowed_literals(sehs, idx):
     """The naive-pool literals that instantiate into the alpha part of leaf
     `idx` under some existential witness."""
-    return [l for l in sorted(naive_pool(sehs), key=str) if allowed(ctx, idx, {l})]
+    return [l for l in sorted(naive_pool(sehs), key=str) if allowed(sehs, idx, {l})]
 
 
 class TestInAllowed:
     def test_allowed_literals_on_swap_pair(self):
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
-        ctx = _Ctx(sehs)
         for idx in range(len(sehs.leaves)):
-            allowed = allowed_literals(sehs, ctx, idx)
+            allowed = allowed_literals(sehs, idx)
             assert lit("P", x, y) in allowed or lit("Q", x, y) in allowed
             for l in allowed:
                 assert free_vars(l.atom) <= {"x", "y"}
@@ -288,51 +293,46 @@ class TestInAllowed:
         sehs = build_sehs(pf.problem, pf.grammar)
         # A leaf without an alpha part admits no literal.
         vars(sehs)["leaves"] = (frozenset({nlit("P", const("r"), Var("b1"))}),)
-        ctx = _Ctx(sehs)
-        assert ctx.all_leaves == 1
-        assert allowed_literals(sehs, ctx, 0) == []
+        assert sehs.all_leaves == 1
+        assert allowed_literals(sehs, 0) == []
 
     def test_allowed_literals_on_benchmark_leaf(self):
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(2)
         sehs = build_sehs(sn.problem, sn.grammar)
-        ctx = _Ctx(sehs)
         f = lambda t: App("f", (t,))
         target = lit("P", x, f(y))
         for idx in range(len(sehs.leaves)):
-            assert target in allowed_literals(sehs, ctx, idx)
+            assert target in allowed_literals(sehs, idx)
 
     def test_swap_pair_allowed_sets(self):
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
-        ctx = _Ctx(sehs)
         P = lit("P", x, y)
         Q = lit("Q", x, y)
         for idx in range(len(sehs.leaves)):
-            assert allowed(ctx, idx, {P})
-            assert allowed(ctx, idx, {Q})
-            assert not allowed(ctx, idx, {P, Q})
+            assert allowed(sehs, idx, {P})
+            assert allowed(sehs, idx, {Q})
+            assert not allowed(sehs, idx, {P, Q})
 
     def test_subset_closure(self):
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
-        ctx = _Ctx(sehs)
         for idx in range(len(sehs.leaves)):
-            big = frozenset(allowed_literals(sehs, ctx, idx))
-            if allowed(ctx, idx, big):
+            big = frozenset(allowed_literals(sehs, idx))
+            if allowed(sehs, idx, big):
                 for member in big:
-                    assert allowed(ctx, idx, {member})
+                    assert allowed(sehs, idx, {member})
 
     def test_benchmark_allowed(self):
         from pi2cut.benchmark import generate_sn
 
         sn = generate_sn(2)
         sehs = build_sehs(sn.problem, sn.grammar)
-        ctx = _Ctx(sehs)
         f = lambda t: App("f", (t,))
         target = frozenset({lit("P", x, f(y))})
-        assert all(allowed(ctx, idx, target) for idx in range(len(sehs.leaves)))
+        assert all(allowed(sehs, idx, target) for idx in range(len(sehs.leaves)))
 
 
 def definition_masks(sehs, clause):
@@ -382,10 +382,7 @@ def ground_witness_sehs():
 
 
 def test_masks_match_the_leaf_definitions():
-    import random
-
     from fixtures import PROBLEM_DIR, load
-    from gen import random_sehs, random_starting_set
     from pi2cut.benchmark import generate_sn
 
     rng = random.Random(4100)
@@ -411,13 +408,12 @@ def test_masks_match_the_leaf_definitions():
         cases.append((sehs, clauses))
     hits = Counter()
     for sehs, clauses in cases:
-        ctx = _Ctx(sehs)
         for c in clauses:
             cl, sol = definition_masks(sehs, c)
             for j, (mask, inst) in enumerate(cl):
-                assert ctx.cl_pick(c, j) == (mask, frozenset(map(ctx.lit_id, inst))), (c, j)
-            got = ctx.sol_picks(c)
-            assert got == [(mask, frozenset(map(ctx.lit_id, i))) for mask, i in sol], c
+                assert sehs.cl_pick(c, j) == (mask, frozenset(map(sehs.lit_id, inst))), (c, j)
+            got = sehs.sol_picks(c)
+            assert got == [(mask, frozenset(map(sehs.lit_id, i))) for mask, i in sol], c
             hits.update(cl=sum(m != 0 for m, _ in cl), sol=sum(m != 0 for m, _ in sol))
     # Both filters are exercised on clauses that close some leaves.
     assert hits["cl"] > 100 and hits["sol"] > 100, hits
@@ -555,11 +551,12 @@ def walk_verdict(sehs, clauses):
     """Balance by its definition: walk every leaf of the solved sequent with
     the bridge tagged cut.  None when a leaf stays open (not a solution)."""
     eh = ExtendedHerbrandSequent(sehs.problem, sehs.grammar, dnf_of(clauses))
-    bridge = Imp(disj(eh.alpha_instances()), conj(eh.beta_instances()))
-    left = dict.fromkeys(eh.f_instances(), ORIGIN_END)
+    alphas, betas = cut_instances(eh.cut_matrix, eh.grammar)
+    mid = eh.instance_sequent()
+    left = dict.fromkeys(mid.left, ORIGIN_END)
     # An end formula of the same shape as the bridge keeps its end tag.
-    left.setdefault(bridge, ORIGIN_CUT)
-    right = dict.fromkeys(eh.g_instances(), ORIGIN_END)
+    left.setdefault(Imp(disj(alphas), conj(betas)), ORIGIN_CUT)
+    right = dict.fromkeys(mid.right, ORIGIN_END)
     verdict = True
     for l_tags, r_tags in tagged_leaves(left, right):
         shared = [a for a in l_tags if isinstance(a, Atom) and a in r_tags]
@@ -568,6 +565,16 @@ def walk_verdict(sehs, clauses):
         if all(l_tags[a] == r_tags[a] == ORIGIN_CUT for a in shared):
             verdict = False
     return verdict
+
+
+def fixture_pair_sets():
+    """Per fixture, its `Sehs` and the sets of one or two naive-pool
+    clauses of at most two literals: 2,218 sets in all."""
+    for loader in (two_step, swap_pair, unbalanced_pair, shared_base, two_bases):
+        pf = loader()
+        sehs = build_sehs(pf.problem, pf.grammar)
+        clauses = clauses_from_pool(naive_pool(sehs), max_clause_size=2)
+        yield sehs, [frozenset(c) for k in (1, 2) for c in itertools.combinations(clauses, k)]
 
 
 def balance_verdict(sehs, clauses):
@@ -611,11 +618,7 @@ class TestVerifyAndBalance:
         from pi2cut.benchmark import generate_sn
 
         counts = Counter()
-        for loader in (two_step, swap_pair, unbalanced_pair, shared_base, two_bases):
-            pf = loader()
-            sehs = build_sehs(pf.problem, pf.grammar)
-            clauses = clauses_from_pool(naive_pool(sehs), max_clause_size=2)
-            sets = [frozenset(c) for k in (1, 2) for c in itertools.combinations(clauses, k)]
+        for sehs, sets in fixture_pair_sets():
             verdicts = [balance_verdict(sehs, cs) for cs in sets]
             counts.update(verdicts)
             # Every solution and every tenth non-solution against the walk.
@@ -630,6 +633,48 @@ class TestVerifyAndBalance:
             report = introduce_cut(sn.problem, sn.grammar)
             sehs = build_sehs(sn.problem, sn.grammar)
             assert report.balanced and walk_verdict(sehs, report.solutions[0])
+
+    def test_split_check_equals_the_full_sequent(self):
+        cases = [(sehs, cs) for sehs, sets in fixture_pair_sets() for cs in sets]
+        fixture_cases = len(cases)
+        for seed in range(40):
+            rng = random.Random(7300 + seed)
+            sehs = random_sehs(rng, rich=seed % 2 == 0)
+            starting = sorted(random_starting_set(rng, rich=seed % 2 == 0), key=clause_key)
+            cases += [(sehs, frozenset(c)) for k in (1, 2) for c in itertools.combinations(starting, k)]
+        verdicts, built = Counter(), Counter()
+        for i, (sehs, cs) in enumerate(cases):
+            eh = ExtendedHerbrandSequent(sehs.problem, sehs.grammar, dnf_of(cs))
+            valid = verify_solution(sehs, cs)
+            assert valid == is_tautology(eh.sequent()), cs
+            verdicts[i < fixture_cases, valid] += 1
+            if i % 15 == 0:
+                try:
+                    proof_from_eh(eh)
+                except NotTautological:
+                    built[valid, False] += 1
+                else:
+                    built[valid, True] += 1
+        assert verdicts[True, True] == 165 and verdicts[True, False] == 2053
+        assert verdicts[False, True] and verdicts[False, False]
+        # The proof is built exactly for the sets that verify.
+        assert set(built) == {(True, True), (False, False)}, built
+
+    def test_malformed_clause_sets_keep_their_errors(self):
+        pf = swap_pair()
+        sehs = build_sehs(pf.problem, pf.grammar)
+        over_z = frozenset([frozenset({lit("P", x, Var("z"))})])
+        # (clause set, error from verify_solution, error from is_balanced)
+        cases = [
+            (frozenset(), SyntaxError_, SyntaxError_),
+            (frozenset([frozenset()]), SyntaxError_, SyntaxError_),
+            (over_z, SolverError, SyntaxError_),
+        ]
+        for cs, on_verify, on_balance in cases:
+            for check, error in ((verify_solution, on_verify), (is_balanced, on_balance)):
+                with pytest.raises(Exception) as info:
+                    check(sehs, cs)
+                assert info.type is error, (check.__name__, cs)
 
     def test_benchmark_balanced(self):
         from pi2cut.benchmark import generate_sn
@@ -740,28 +785,30 @@ class TestIntroduceCut:
             introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
             assert len(calls) == 1
 
-    def test_one_context_per_solve(self, monkeypatch):
+    def test_one_grammar_check_per_solve(self, monkeypatch):
+        # `build_sehs` validates the grammar and the proof's extended
+        # sequent validates it again; verifying each further solution and
+        # the balance test add no check.
+        import pi2cut.herbrand as herbrand
         import pi2cut.solver as solver
-        from pi2cut.benchmark import generate_sn
 
-        built = []
-
-        class Counted(solver._Ctx):
-            def __init__(self, sehs):
-                built.append(sehs)
-                super().__init__(sehs)
-
-        monkeypatch.setattr(solver, "_Ctx", Counted)
-        for pf, pool in ((generate_sn(3), "gstar"), (unbalanced_pair(), "naive")):
-            built.clear()
-            introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
-            assert len(built) == 1
+        checked = []
+        for module in (solver, herbrand):
+            real = module.validate
+            monkeypatch.setattr(module, "validate", lambda g, real=real: checked.append(g) or real(g))
         pf = swap_pair()
+        runs = []
+        for all_solutions in (False, True):
+            checked.clear()
+            options = SolverOptions(pool="naive", max_clauses=2, all_solutions=all_solutions)
+            runs.append((len(introduce_cut(pf.problem, pf.grammar, options).solutions), len(checked)))
+        (one, checks), (many, all_checks) = runs
+        assert one == 1 < many and checks == all_checks == 2
         sehs = build_sehs(pf.problem, pf.grammar)
-        built.clear()
+        checked.clear()
         survivors = sol_filter(cl_filter(clauses_from_pool(naive_pool(sehs), 2), sehs, 2), sehs)
         assert survivors and all(is_balanced(sehs, cs) for cs in survivors)
-        assert len(built) == 1
+        assert all(verify_solution(sehs, cs) for cs in survivors) and not checked
 
     def test_cap_exceeded(self):
         from pi2cut.solver import CapExceeded
