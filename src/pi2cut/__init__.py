@@ -8,10 +8,9 @@ proof with one cut, and measures the resulting compression.
 
 from .benchmark import generate_sn, minimal_cutfree_instances
 from .calculus import ComplexityTriple, check_proof, complexities, is_tautology
-from .grammar import SchematicPi2Grammar, WrappedTerm, covers, rigid_language
+from .grammar import HerbrandInstanceSet, SchematicPi2Grammar, covers, rigid_language
 from .herbrand import (
     ExtendedHerbrandSequent,
-    HerbrandInstanceSet,
     PrenexProblem,
     herbrand_check,
     proof_from_eh,
@@ -42,7 +41,6 @@ __all__ = [
     "SchematicPi2Grammar",
     "SolutionReport",
     "SolverOptions",
-    "WrappedTerm",
     "build_sehs",
     "check_proof",
     "cl_filter",

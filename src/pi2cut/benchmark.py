@@ -27,7 +27,6 @@ from .syntax import (
     conj,
     const,
     disj,
-    tuple_key,
 )
 
 
@@ -120,10 +119,7 @@ def _minimal_instances(n: int) -> HerbrandInstanceSet:
             [_f(_fi(i, t)) for t in levels[-1] for i in range(1, n + 1)]
         )
     a_terms = [t for level in levels for t in level]
-    f_tuples = sorted(
-        ((t, t, _fi(i, t)) for t in a_terms for i in range(1, n + 1)),
-        key=tuple_key,
-    )
+    f_tuples = [(t, t, _fi(i, t)) for t in a_terms for i in range(1, n + 1)]
 
     g_tuples = []
     for heads in _head_vectors(n):
@@ -132,8 +128,7 @@ def _minimal_instances(n: int) -> HerbrandInstanceSet:
             ys.append(_fi(heads[j - 2], _f(ys[-1])))
         ys += [ys[0], ys[-1]]
         g_tuples.append(tuple(ys))
-    g_tuples.sort(key=tuple_key)
-    return HerbrandInstanceSet(tuple(f_tuples), tuple(g_tuples))
+    return HerbrandInstanceSet(f_tuples, g_tuples)
 
 
 def _head_vectors(n: int) -> list[tuple[int, ...]]:

@@ -167,17 +167,25 @@ def premises_of(
     )
 
 
-def _expand(s: Sequent, stop_at_axiom: bool, policy: Policy | None) -> Node:
-    if stop_at_axiom and s.shares_atom():
-        return Node(AXIOM, s)
-    cands = _candidates(s.left, s.right)
-    if not cands:
-        rule = AXIOM if s.shares_atom() else NON_TAUT_LEAF
-        return Node(rule, s)
-    side, f = cands[policy(s, cands) if policy is not None else 0]
-    rule, prem = premises_of(s, side, f)
-    subs = tuple(_expand(p, stop_at_axiom, policy) for p in prem)
-    return Node(rule, s, subs, principal=f, side=side)
+def _expand(root: Sequent, stop_at_axiom: bool, policy: Policy | None) -> Node:
+    """The derivation of `root`, built with an explicit stack so that long
+    branches do not exhaust the call stack; a node is built after its premises."""
+    built: list[Node] = []
+    stack: list[Sequent | tuple[Sequent, str, str, Formula, int]] = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            s, rule, side, f, n = item
+            built[-n:] = [Node(rule, s, tuple(built[-n:]), principal=f, side=side)]
+        elif stop_at_axiom and item.shares_atom():
+            built.append(Node(AXIOM, item))
+        elif not (cands := _candidates(item.left, item.right)):
+            built.append(Node(AXIOM if item.shares_atom() else NON_TAUT_LEAF, item))
+        else:
+            side, f = cands[policy(item, cands) if policy is not None else 0]
+            rule, prem = premises_of(item, side, f)
+            stack += [(item, rule, side, f, len(prem)), *reversed(prem)]
+    return built[0]
 
 
 def _require_quantifier_free(s: Sequent) -> None:

@@ -19,7 +19,7 @@ from .benchmark import (
     minimal_cutfree_instances,
 )
 from .calculus import check_proof, complexities
-from .grammar import GrammarError, WrappedTerm, rigid_language
+from .grammar import GrammarError, rigid_language
 from .problem_io import (
     parse_problem,
     parse_proof,
@@ -110,6 +110,9 @@ def _emit(rows: list[tuple[str, str]], as_json: bool) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.verify and not args.emit_proof:
+        print("error: --verify checks the emitted proof and needs --emit-proof", file=sys.stderr)
+        return INPUT_ERROR
     text = _read(args.file)
     pf = parse_problem(text)
     if args.pool.startswith("file:"):
@@ -173,13 +176,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_language(args: argparse.Namespace) -> int:
     pf = parse_problem(_read(args.file))
-    terms = sorted(rigid_language(pf.grammar), key=WrappedTerm.key)
-    for t in terms:
-        print(t.to_sexp())
+    language = rigid_language(pf.grammar)
+    print("\n".join(language.wrapped_terms()))
     if pf.herbrand_terms is not None:
-        missing = sorted(set(pf.herbrand_terms) - set(terms), key=WrappedTerm.key)
-        covered = not missing
-        print(f"; covers herbrand-terms: {str(covered).lower()}")
+        print(f"; covers herbrand-terms: {str(not pf.herbrand_terms - language).lower()}")
     return 0
 
 
@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     solve.add_argument("--max-candidates", type=int, default=10**6)
     solve.add_argument("--all", action="store_true", help="report every verified solution")
     solve.add_argument("--emit-proof", metavar="OUT")
-    solve.add_argument("--verify", action="store_true", help="re-check the emitted proof file")
+    solve.add_argument("--verify", action="store_true", help="re-check the --emit-proof file")
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(fn=_cmd_solve)
 

@@ -5,7 +5,9 @@ the start productions carry the end-sequent instance tuples (wrapped in
 the marker constructors ``hF``/``hG``), the variable ``alpha`` rewrites to
 the universal witness terms ``r1..rm``, and each ``bj`` rewrites to the
 existential witness terms ``t1..tp`` evaluated at ``rj``.  Derivations are
-rigid: one production per variable.
+rigid: one production per variable.  A set of wrapped terms, such as the
+rigid language or the Herbrand term set it must cover, is a
+`HerbrandInstanceSet`.
 
 The module also builds the unrestricted rewrite system used to search for
 candidate cut literals: grammar terms rewrite down to the two designated
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from .syntax import (
     ALPHA,
@@ -44,18 +45,31 @@ class GrammarError(Exception):
 
 
 @dataclass(frozen=True)
-class WrappedTerm:
-    """An instance tuple wrapped in its side marker (hF or hG)."""
+class HerbrandInstanceSet:
+    """Instance tuples of the two quantifier blocks, each side a set: the
+    wrapped terms ``hF(t...)`` and ``hG(s...)``.  Equality ignores order
+    and repeats."""
 
-    kind: str  # "F" | "G"
-    args: tuple[Term, ...]
+    f_tuples: frozenset[tuple[Term, ...]]
+    g_tuples: frozenset[tuple[Term, ...]]
 
-    def key(self) -> tuple[str, tuple[str, ...]]:
-        return (self.kind, tuple_key(self.args))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "f_tuples", frozenset(map(tuple, self.f_tuples)))
+        object.__setattr__(self, "g_tuples", frozenset(map(tuple, self.g_tuples)))
 
-    def to_sexp(self) -> str:
-        head = "hF" if self.kind == "F" else "hG"
-        return "(" + " ".join([head] + [term_to_sexp(a) for a in self.args]) + ")"
+    def __len__(self) -> int:
+        return len(self.f_tuples) + len(self.g_tuples)
+
+    def __sub__(self, other: HerbrandInstanceSet) -> HerbrandInstanceSet:
+        return HerbrandInstanceSet(self.f_tuples - other.f_tuples, self.g_tuples - other.g_tuples)
+
+    def wrapped_terms(self) -> list[str]:
+        """The terms printed, ``hF`` before ``hG``, each in canonical order."""
+        return [
+            "(" + " ".join([head, *map(term_to_sexp, tup)]) + ")"
+            for head, tuples in (("hF", self.f_tuples), ("hG", self.g_tuples))
+            for tup in sorted(tuples, key=tuple_key)
+        ]
 
 
 @dataclass(frozen=True)
@@ -136,38 +150,36 @@ def validate(g: SchematicPi2Grammar) -> list[str]:
 # Rigid language
 
 
-def rigid_language(g: SchematicPi2Grammar) -> frozenset[WrappedTerm]:
+def rigid_language(g: SchematicPi2Grammar) -> HerbrandInstanceSet:
     """All wrapped ground terms derivable when every variable commits to a
-    single production: one universal witness for alpha, one existential
-    witness index per b_j; the b-values are built bottom up."""
+    single production (one universal witness for alpha, one existential
+    witness index per b_j), as one `HerbrandInstanceSet`."""
     violations = validate(g)
     if violations:
         raise GrammarError("; ".join(violations))
-    out: set[WrappedTerm] = set()
+    f_out: set[tuple[Term, ...]] = set()
+    g_out: set[tuple[Term, ...]] = set()
     for choice in itertools.product(range(1, g.p + 1), repeat=g.m):
         env: dict[str, Term] = {}
         for j in range(1, g.m + 1):
             env[beta(j)] = substitute_term(g.beta_production(j, choice[j - 1]), env)
         for tup in g.g_tuples:
-            out.add(WrappedTerm("G", tuple(substitute_term(t, env) for t in tup)))
+            g_out.add(tuple(substitute_term(t, env) for t in tup))
         for j in range(1, g.m + 1):
-            alpha_val = substitute_term(g.r_terms[j - 1], env)
-            inst = {ALPHA: alpha_val}
+            inst = {ALPHA: substitute_term(g.r_terms[j - 1], env)}
             for tup in g.f_tuples:
-                out.add(WrappedTerm("F", tuple(substitute_term(t, inst) for t in tup)))
-    return frozenset(out)
+                f_out.add(tuple(substitute_term(t, inst) for t in tup))
+    return HerbrandInstanceSet(f_out, g_out)
 
 
-def covers(g: SchematicPi2Grammar, terms: Iterable[WrappedTerm]) -> bool:
-    """Does the rigid language contain every given wrapped term?"""
-    terms = list(terms)
-    f_arity = {len(t.args) for t in terms if t.kind == "F"}
-    g_arity = {len(t.args) for t in terms if t.kind == "G"}
-    if g.f_tuples and f_arity - {len(g.f_tuples[0])}:
+def covers(g: SchematicPi2Grammar, terms: HerbrandInstanceSet) -> bool:
+    """Does the rigid language contain every given wrapped term?  Tuples
+    of the wrong arity for their side raise `GrammarError`."""
+    if g.f_tuples and {len(t) for t in terms.f_tuples} - {len(g.f_tuples[0])}:
         raise GrammarError("antecedent wrapper arity mismatch")
-    if g.g_tuples and g_arity - {len(g.g_tuples[0])}:
+    if g.g_tuples and {len(t) for t in terms.g_tuples} - {len(g.g_tuples[0])}:
         raise GrammarError("succedent wrapper arity mismatch")
-    return set(terms) <= rigid_language(g)
+    return not terms - rigid_language(g)
 
 
 # ---------------------------------------------------------------------------

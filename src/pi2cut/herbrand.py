@@ -12,11 +12,11 @@ so tuples differing only in a suffix share their leading inferences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import calculus
 from .calculus import Node, check_proof, is_tautology, premises_of, prop_proof
-from .grammar import SchematicPi2Grammar, WrappedTerm, validate
+from .grammar import HerbrandInstanceSet, SchematicPi2Grammar, validate
 from .syntax import (
     ALPHA,
     Exists,
@@ -88,12 +88,6 @@ def instantiate(matrix: Formula, vars_: Sequence[str], tup: Sequence[Term]) -> F
     return substitute(matrix, dict(zip(vars_, tup)))
 
 
-@dataclass(frozen=True)
-class HerbrandInstanceSet:
-    f_tuples: tuple[tuple[Term, ...], ...]
-    g_tuples: tuple[tuple[Term, ...], ...]
-
-
 def midsequent(pb: PrenexProblem, inst: HerbrandInstanceSet) -> Sequent:
     left = [instantiate(pb.antecedent, pb.forall_vars, t) for t in inst.f_tuples]
     right = [instantiate(pb.succedent, pb.exists_vars, t) for t in inst.g_tuples]
@@ -106,19 +100,6 @@ def herbrand_check(pb: PrenexProblem, inst: HerbrandInstanceSet) -> tuple[bool, 
     valid = is_tautology(midsequent(pb, inst))
     complexity = sharp_count(inst.f_tuples) + sharp_count(inst.g_tuples)
     return valid, complexity
-
-
-def herbrand_term_set(pb: PrenexProblem, inst: HerbrandInstanceSet) -> frozenset[WrappedTerm]:
-    for t in inst.f_tuples:
-        if len(t) != len(pb.forall_vars):
-            raise HerbrandError("antecedent tuple arity mismatch")
-    for t in inst.g_tuples:
-        if len(t) != len(pb.exists_vars):
-            raise HerbrandError("succedent tuple arity mismatch")
-    return frozenset(
-        [WrappedTerm("F", t) for t in inst.f_tuples]
-        + [WrappedTerm("G", t) for t in inst.g_tuples]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +181,7 @@ class _Step:
 def _trie_steps(
     block: Formula,
     vars_: Sequence[str],
-    tuples: Sequence[tuple[Term, ...]],
+    tuples: Iterable[tuple[Term, ...]],
     side: str,
 ) -> list[_Step]:
     """Weak inferences introducing all tuples, sharing common prefixes.

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from . import calculus
 from .calculus import Node
-from .grammar import SchematicPi2Grammar, WrappedTerm, validate
+from .grammar import HerbrandInstanceSet, SchematicPi2Grammar, validate
 from .herbrand import PrenexProblem
 from .sexpr import ParseError, SAtom, SList, SNode, expect_atom, expect_list, head_of, parse_all
 from .syntax import (
@@ -51,7 +51,7 @@ from .syntax import (
 class ProblemFile:
     problem: PrenexProblem
     grammar: SchematicPi2Grammar
-    herbrand_terms: frozenset[WrappedTerm] | None = None
+    herbrand_terms: HerbrandInstanceSet | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +250,15 @@ def parse_problem(text: str) -> ProblemFile:
 
     herbrand = None
     if "herbrand-terms" in sections:
-        wrapped = []
+        wrapped: dict[str, list[tuple[Term, ...]]] = {"hF": [], "hG": []}
         for item in sections["herbrand-terms"].items[1:]:
             lst = expect_list(item, "wrapped term")
             kind = head_of(lst, "hF or hG")
-            if kind not in ("hF", "hG"):
+            if kind not in wrapped:
                 raise ParseError("wrapped terms start with hF or hG", lst.line, lst.col)
             block = forall_vars if kind == "hF" else exists_vars
-            wrapped.append(WrappedTerm(kind[1], _tuple_of(lst, sig, set(), block, start=1)))
-        herbrand = frozenset(wrapped)
+            wrapped[kind].append(_tuple_of(lst, sig, set(), block, start=1))
+        herbrand = HerbrandInstanceSet(wrapped["hF"], wrapped["hG"])
 
     return ProblemFile(problem, grammar, herbrand)
 
@@ -281,8 +281,7 @@ def print_problem(pf: ProblemFile) -> str:
     lines.append("  (t-terms " + " ".join(term_to_sexp(t) for t in g.t_terms) + ")")
     lines.append(")")
     if pf.herbrand_terms is not None:
-        terms = sorted(pf.herbrand_terms, key=WrappedTerm.key)
-        lines.append("(herbrand-terms " + " ".join(t.to_sexp() for t in terms) + ")")
+        lines.append("(herbrand-terms " + " ".join(pf.herbrand_terms.wrapped_terms()) + ")")
     return "\n".join(lines) + "\n"
 
 

@@ -27,8 +27,8 @@ from .calculus import tagged_leaves  # noqa: F401
 from .grammar import (
     GrammarError,
     GStarSystem,
+    HerbrandInstanceSet,
     SchematicPi2Grammar,
-    WrappedTerm,
     covers,
     gstar_of,
     reachable_literals,
@@ -39,7 +39,6 @@ from .grammar import (
 from .grammar import unifiable_pair  # noqa: F401
 from .herbrand import (
     ExtendedHerbrandSequent,
-    HerbrandInstanceSet,
     PrenexProblem,
     cut_instances,
     midsequent,
@@ -235,7 +234,7 @@ class Sehs:
 def build_sehs(
     pb: PrenexProblem,
     g: SchematicPi2Grammar,
-    term_set: Iterable[WrappedTerm] | None = None,
+    term_set: HerbrandInstanceSet | None = None,
 ) -> Sehs:
     violations = validate(g)
     if violations:
@@ -244,10 +243,9 @@ def build_sehs(
         raise SolverError("antecedent tuples do not match the universal block")
     if g.g_tuples and len(g.g_tuples[0]) != len(pb.exists_vars):
         raise SolverError("succedent tuples do not match the existential block")
-    wrapped = frozenset(term_set) if term_set is not None else None
-    if wrapped is not None and not covers(g, wrapped):
-        missing = sorted(wrapped - rigid_language(g), key=WrappedTerm.key)
-        raise CoverFailure("grammar does not generate: " + ", ".join(t.to_sexp() for t in missing))
+    if term_set is not None and not covers(g, term_set):
+        missing = term_set - rigid_language(g)
+        raise CoverFailure("grammar does not generate: " + ", ".join(missing.wrapped_terms()))
     return Sehs(pb, g)
 
 
@@ -548,7 +546,7 @@ def introduce_cut(
     pb: PrenexProblem,
     g: SchematicPi2Grammar,
     options: SolverOptions = SolverOptions(),
-    term_set: Iterable[WrappedTerm] | None = None,
+    term_set: HerbrandInstanceSet | None = None,
 ) -> SolutionReport:
     """Find a cut matrix over the given pool, verify it, and build the
     one-cut proof.  Candidates are tried smallest first (clause count,

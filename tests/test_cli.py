@@ -48,6 +48,15 @@ class TestSolve:
         check_out = capsys.readouterr().out
         assert "ok" in check_out
 
+    def test_verify_needs_emit_proof(self, capsys):
+        # Rejected before the problem is read or solved: stdout stays empty.
+        for path in (TWO_STEP, "does-not-exist.p2"):
+            assert main(["solve", path, "--verify"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --verify")
+            assert "--emit-proof" in captured.err
+
     def test_unwritable_proof_exit_two(self, tmp_path, capsys):
         out_file = tmp_path / "missing" / "out.sexp"
         assert main(["solve", TWO_STEP, "--emit-proof", str(out_file)]) == 2

@@ -59,6 +59,10 @@ def bench_output(n: int) -> tuple[int, str]:
     return _cli(["bench-sn", "--n", str(n), "--json"])
 
 
+def language_output(stem: str) -> tuple[int, str]:
+    return _cli(["language", str(PROBLEM_DIR / f"{stem}.p2")])
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -101,6 +105,13 @@ def test_bench_sn(n):
     assert out == _golden(f"{name}.out")
 
 
+@pytest.mark.parametrize("stem", PROBLEMS)
+def test_language(stem):
+    code, out = language_output(stem)
+    assert code == 0
+    assert out == _golden(f"language-{stem}.out")
+
+
 @pytest.mark.parametrize("kind, n", PROOF_CASES)
 def test_proof_digest(kind, n):
     assert proof_digest(kind, n) == json.loads(_golden(DIGESTS.name))[f"{kind} S_{n}"]
@@ -123,6 +134,10 @@ def _write_golden() -> None:
     for n in BENCH_N:
         codes[f"bench-sn-{n}"], out = bench_output(n)
         (GOLDEN / f"bench-sn-{n}.out").write_bytes(out.encode("utf-8"))
+    for stem in PROBLEMS:
+        code, out = language_output(stem)
+        assert code == 0, f"language {stem} exited {code}"
+        (GOLDEN / f"language-{stem}.out").write_bytes(out.encode("utf-8"))
     digests = {f"{kind} S_{n}": proof_digest(kind, n) for kind, n in PROOF_CASES}
     EXIT_CODES.write_text(json.dumps(codes, indent=2) + "\n", encoding="utf-8")
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")

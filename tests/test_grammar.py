@@ -4,8 +4,8 @@ from fixtures import load, two_step, two_step_instances
 from pi2cut.benchmark import generate_sn
 from pi2cut.grammar import (
     GrammarError,
+    HerbrandInstanceSet,
     SchematicPi2Grammar,
-    WrappedTerm,
     covers,
     gstar_of,
     reachable_literals,
@@ -13,7 +13,6 @@ from pi2cut.grammar import (
     unifiable_pair,
     validate,
 )
-from pi2cut.herbrand import herbrand_term_set
 from pi2cut.syntax import (
     ALPHA,
     App,
@@ -92,7 +91,7 @@ class TestRigidLanguage:
         pf = two_step()
         lang = rigid_language(pf.grammar)
         assert len(lang) == 7
-        assert lang == herbrand_term_set(pf.problem, two_step_instances())
+        assert lang == two_step_instances()
 
     def test_rigidity_exclusion(self):
         pf = two_step()
@@ -100,8 +99,8 @@ class TestRigidLanguage:
         t2 = lambda t: App("t2", (t,))
         r2 = lambda t: App("r2", (t,))
         r1 = const("r1")
-        mixed = WrappedTerm("G", (t1(r1), t1(r2(t2(r1)))))
-        assert mixed not in rigid_language(pf.grammar)
+        mixed = (t1(r1), t1(r2(t2(r1))))
+        assert mixed not in rigid_language(pf.grammar).g_tuples
 
     def test_single_assignment_size(self):
         sig = Signature({"t1": 1, "r1": 0}, {"P": 2})
@@ -123,28 +122,55 @@ class TestRigidLanguage:
     def test_all_members_ground(self):
         from pi2cut.syntax import free_vars
 
-        for w in rigid_language(two_step().grammar):
-            for t in w.args:
+        lang = rigid_language(two_step().grammar)
+        for tup in lang.f_tuples | lang.g_tuples:
+            for t in tup:
                 assert not free_vars(t)
+
+
+class TestHerbrandInstanceSet:
+    def test_equality_ignores_order_and_repeats(self):
+        a, b = (const("r1"),), (App("t1", (const("r1"),)),)
+        assert HerbrandInstanceSet([a, b, a], [b]) == HerbrandInstanceSet((b, a), (b, b))
+        assert HerbrandInstanceSet([a], []) != HerbrandInstanceSet([], [a])
+
+    def test_difference_and_size(self):
+        inst = two_step_instances()
+        lang = rigid_language(two_step().grammar)
+        assert len(inst) == 7 and not inst - lang
+        stray = HerbrandInstanceSet(inst.f_tuples, [(const("r1"), const("r1"))])
+        assert stray - lang == HerbrandInstanceSet((), [(const("r1"), const("r1"))])
+
+    def test_wrapped_terms_printed_in_canonical_order(self):
+        r1 = const("r1")
+        t1 = App("t1", (r1,))
+        inst = HerbrandInstanceSet([(t1,), (r1,)], [(r1, t1), (r1, r1)])
+        assert inst.wrapped_terms() == [
+            "(hF (t1 r1))",
+            "(hF r1)",
+            "(hG r1 (t1 r1))",
+            "(hG r1 r1)",
+        ]
+        assert HerbrandInstanceSet([()], []).wrapped_terms() == ["(hF)"]
 
 
 class TestCovers:
     def test_two_step_instances_covered(self):
         pf = two_step()
-        assert covers(pf.grammar, herbrand_term_set(pf.problem, two_step_instances()))
+        assert covers(pf.grammar, two_step_instances())
 
     def test_superset_language_allowed(self):
         pf = two_step()
-        some = sorted(rigid_language(pf.grammar), key=WrappedTerm.key)[:3]
+        some = HerbrandInstanceSet(rigid_language(pf.grammar).f_tuples, ())
         assert covers(pf.grammar, some)
 
     def test_missing_term(self):
         pf = two_step()
-        stray = WrappedTerm("F", (const("r1"), const("r1")))
+        stray = HerbrandInstanceSet([(const("r1"), const("r1"))], ())
         with pytest.raises(GrammarError):
-            covers(pf.grammar, [stray])
-        stray_unary = WrappedTerm("F", (App("t1", (App("t1", (const("r1"),)),)),))
-        assert not covers(pf.grammar, [stray_unary])
+            covers(pf.grammar, stray)
+        stray_unary = HerbrandInstanceSet([(App("t1", (App("t1", (const("r1"),)),)),)], ())
+        assert not covers(pf.grammar, stray_unary)
 
 
 class TestGStar:

@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 
 from fixtures import two_step, two_step_instances
 from pi2cut.benchmark import generate_sn, minimal_cutfree_instances
-from pi2cut.calculus import CUT, check_proof, complexities, is_tautology
+from pi2cut.calculus import CUT, WEAK_RULES, check_proof, complexities, is_tautology
 from pi2cut.grammar import SchematicPi2Grammar
 from pi2cut.herbrand import (
     ExtendedHerbrandSequent,
@@ -11,12 +13,11 @@ from pi2cut.herbrand import (
     NotTautological,
     PrenexProblem,
     herbrand_check,
-    herbrand_term_set,
     midsequent,
     proof_from_eh,
     proof_from_herbrand,
 )
-from pi2cut.syntax import App, Atom, Signature, Var, X, Y, const
+from pi2cut.syntax import App, Atom, Imp, Signature, Var, X, Y, const, term_to_sexp
 
 
 def P(*args):
@@ -51,24 +52,6 @@ class TestHerbrandCheck:
         for inst in (two_step_instances(), HerbrandInstanceSet(((const("r1"),),), ())):
             valid, _ = herbrand_check(pf.problem, inst)
             assert valid == is_tautology(midsequent(pf.problem, inst))
-
-
-class TestHerbrandTermSet:
-    def test_wrap(self):
-        pf = two_step()
-        wrapped = herbrand_term_set(pf.problem, two_step_instances())
-        assert len(wrapped) == 7
-        kinds = {w.kind for w in wrapped}
-        assert kinds == {"F", "G"}
-
-    def test_empty(self):
-        pf = two_step()
-        assert herbrand_term_set(pf.problem, HerbrandInstanceSet((), ())) == frozenset()
-
-    def test_singleton(self):
-        pf = two_step()
-        one = HerbrandInstanceSet(((const("r1"),),), ())
-        assert len(herbrand_term_set(pf.problem, one)) == 1
 
 
 class TestEhBuild:
@@ -226,6 +209,36 @@ class TestProofFromHerbrand:
         proof = proof_from_herbrand(pb, inst)
         assert check_proof(proof).ok
         assert complexities(proof).quantifier == 2  # one per block variable
+
+    def test_long_branch_built_without_deep_recursion(self):
+        # P c, P x -> P (s x) |- P (s^n c): the propositional part of the
+        # proof is one branch n inferences long.  The stack is capped well
+        # below n frames; only the builder's own depth is under test, so
+        # each term's printed form is cached as the term is made.
+        n = 150
+        sig = Signature({"c": 0, "s": 1}, {"P": 1})
+        s = lambda t: App("s", (t,))
+        x, y = Var("x1"), Var("y1")
+        pb = PrenexProblem(
+            sig, ("x1",), ("y1",), Imp(P(x), P(s(x))), Imp(P(const("c")), P(y))
+        )
+        terms = [const("c")]
+        for _ in range(n):
+            terms.append(s(terms[-1]))
+            term_to_sexp(terms[-1])
+        inst = HerbrandInstanceSet([(t,) for t in terms[:-1]], [(terms[-1],)])
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            proof = proof_from_herbrand(pb, inst)
+            assert check_proof(proof).ok
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sum(node.rule in WEAK_RULES for node in proof.nodes()) == n + 1
 
     def test_reserved_block_variable_rejected(self):
         from pi2cut.syntax import SyntaxError_

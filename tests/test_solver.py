@@ -19,12 +19,11 @@ from fixtures import (
 )
 from gen import random_sehs, random_starting_set
 from pi2cut.calculus import ORIGIN_CUT, ORIGIN_END, is_tautology, tagged_leaves
-from pi2cut.grammar import GStarSystem, WrappedTerm, reachable_literals
+from pi2cut.grammar import GStarSystem, HerbrandInstanceSet, reachable_literals
 from pi2cut.herbrand import (
     ExtendedHerbrandSequent,
     NotTautological,
     cut_instances,
-    herbrand_term_set,
     proof_from_eh,
 )
 from pi2cut.problem_io import print_sequent
@@ -99,14 +98,18 @@ class TestBuildSehs:
 
     def test_cover_failure(self):
         pf = two_step()
-        stray = WrappedTerm("F", (t1(t1(const("r1"))),))
+        r1 = const("r1")
+        stray = HerbrandInstanceSet([(t1(t1(r1)),)], ())
         with pytest.raises(CoverFailure):
-            build_sehs(pf.problem, pf.grammar, [stray])
+            build_sehs(pf.problem, pf.grammar, stray)
+        strays = HerbrandInstanceSet(stray.f_tuples, [(r1, r1)])
+        with pytest.raises(CoverFailure) as err:
+            build_sehs(pf.problem, pf.grammar, strays)
+        assert str(err.value) == "grammar does not generate: (hF (t1 (t1 r1))), (hG r1 r1)"
 
     def test_cover_success(self):
         pf = two_step()
-        terms = herbrand_term_set(pf.problem, two_step_instances())
-        build_sehs(pf.problem, pf.grammar, terms)
+        build_sehs(pf.problem, pf.grammar, two_step_instances())
 
 
 def leaf_key(leaf) -> tuple[str, ...]:
