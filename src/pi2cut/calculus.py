@@ -13,6 +13,7 @@ share an atom, so weakening never appears explicitly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -640,40 +641,41 @@ class ComplexityTriple:
     symbols: int
 
 
-def _term_symbols(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(_term_symbols(a) for a in t.args)  # type: ignore[union-attr]
-
-
-def _formula_symbols(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 1 + sum(_term_symbols(a) for a in f.args)
-    if isinstance(f, Not):
-        return 1 + _formula_symbols(f.sub)
-    if isinstance(f, (And, Or, Imp)):
-        return 1 + _formula_symbols(f.left) + _formula_symbols(f.right)
-    assert isinstance(f, (ForAll, Exists))
-    return 2 + _formula_symbols(f.body)  # quantifier and its variable
-
-
 def symbol_count(s: Sequent) -> int:
     """Occurrences of signature symbols, variables, connectives,
-    quantifiers, separating commas and the turnstile."""
-    total = sum(_formula_symbols(f) for f in s.left)
-    total += sum(_formula_symbols(f) for f in s.right)
-    total += max(0, len(s.left) - 1) + max(0, len(s.right) - 1)
-    return total + 1
+    quantifiers, separating commas and the turnstile.  Each symbol of a
+    formula is one token of its canonical text (a quantifier and its
+    variable are two), and the printer puts one space between consecutive
+    tokens and adds only parentheses, so a formula has one symbol more
+    than its text has spaces.  Names are single tokens, as the reader,
+    proof files, sort keys and the round trip require."""
+    return _symbols((s,))
+
+
+def _symbols(sequents: Iterable[Sequent]) -> int:
+    """The symbol counts of `sequents` summed, reading each distinct
+    formula's count off its cached text once."""
+    occurrences: Counter[Formula] = Counter()
+    total = 0
+    for s in sequents:
+        occurrences.update(s.left)
+        occurrences.update(s.right)
+        total += max(0, len(s.left) - 1) + max(0, len(s.right) - 1) + 1
+    return total + sum(
+        k * (formula_to_sexp(f).count(" ") + 1) for f, k in occurrences.items()
+    )
 
 
 def complexities(p: Node) -> ComplexityTriple:
-    q = 0
-    logical = 0
-    symbols = 0
+    """The weak quantifier inferences, the inferences, and the symbols:
+    each sequent's canonical-text tokens plus its separating commas and
+    turnstile (see `symbol_count`), and one per inference line."""
+    q = logical = 0
+    sequents = []
     for n in p.nodes():
-        symbols += symbol_count(n.sequent)
+        sequents.append(n.sequent)
         if n.premises:
             logical += 1
         if n.rule in WEAK_RULES:
             q += 1
-    return ComplexityTriple(q, logical, symbols + logical)
+    return ComplexityTriple(q, logical, _symbols(sequents) + logical)

@@ -78,14 +78,15 @@ def _report_lines(report: SolutionReport) -> list[tuple[str, str]]:
     for extra in report.solutions[1:]:
         rows.append(("solution-alt", clause_set_to_sexp(extra)))
     rows += [
-        ("cut-formula", formula_to_sexp(report.cut_formula)),
-        ("verified", str(report.verified).lower()),
+        ("cut-formula", formula_to_sexp(report.eh.cut_formula())),
+        # introduce_cut raises VerificationFailure on an unverified matrix.
+        ("verified", "true"),
         ("balanced", str(report.balanced).lower()),
         ("proof-q", str(report.complexity.quantifier)),
         ("proof-l", str(report.complexity.logical)),
         ("proof-s", str(report.complexity.symbols)),
-        ("slot-complexity", str(report.slot_complexity)),
-        ("shared-complexity", str(report.shared_complexity)),
+        ("slot-complexity", str(report.eh.complexity())),
+        ("shared-complexity", str(report.eh.shared_complexity())),
     ]
     return rows
 

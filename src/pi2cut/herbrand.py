@@ -88,7 +88,8 @@ def instantiate(matrix: Formula, vars_: Sequence[str], tup: Sequence[Term]) -> F
     return substitute(matrix, dict(zip(vars_, tup)))
 
 
-def midsequent(pb: PrenexProblem, inst: HerbrandInstanceSet) -> Sequent:
+def midsequent(pb: PrenexProblem, inst: HerbrandInstanceSet | SchematicPi2Grammar) -> Sequent:
+    """The F instances of the f-tuples and G instances of the g-tuples of `inst`."""
     left = [instantiate(pb.antecedent, pb.forall_vars, t) for t in inst.f_tuples]
     right = [instantiate(pb.succedent, pb.exists_vars, t) for t in inst.g_tuples]
     return Sequent.of(left, right)
@@ -141,8 +142,7 @@ class ExtendedHerbrandSequent:
 
     def instance_sequent(self) -> Sequent:
         """The F and G instances of the grammar's tuples."""
-        g = self.grammar
-        return midsequent(self.problem, HerbrandInstanceSet(g.f_tuples, g.g_tuples))
+        return midsequent(self.problem, self.grammar)
 
     def sequent(self) -> Sequent:
         from .syntax import Imp, conj, disj

@@ -153,13 +153,19 @@ def _parse_signature(lst: SList) -> Signature:
             raise ParseError("expected (fun name arity) or (pred name arity)", decl.line, decl.col)
         name = expect_atom(decl.items[1], "symbol name").value
         arity_tok = expect_atom(decl.items[2], "arity")
-        if not arity_tok.value.isdigit():
-            raise ParseError(f"arity must be a number: {arity_tok.value}", arity_tok.line, arity_tok.col)
+        digits = arity_tok.value
+        # str.isdigit alone admits digits such as '²' that int() rejects.
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"arity must be a number: {digits}", arity_tok.line, arity_tok.col)
+        try:
+            arity = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("arity too large", arity_tok.line, arity_tok.col) from None
         if is_reserved(name):
             raise ParseError(f"reserved name '{name}' may not be declared", decl.line, decl.col)
         if name in functions or name in predicates:
             raise ParseError(f"symbol '{name}' declared twice", decl.line, decl.col)
-        (functions if kind == "fun" else predicates)[name] = int(arity_tok.value)
+        (functions if kind == "fun" else predicates)[name] = arity
     try:
         return Signature(functions, predicates)
     except SyntaxError_ as e:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
-from .calculus import is_tautology, non_tautological_leaves
+from .calculus import complexities, is_tautology, non_tautological_leaves
 # Unused here; stays importable because perfbench/tracer.py wraps solver.maximal_derivation.
 from .calculus import maximal_derivation  # noqa: F401
 # Unused here; stays importable because perfbench/tracer.py wraps solver.tagged_leaves.
@@ -140,8 +140,7 @@ class Sehs:
     @cached_property
     def reduced_representation(self) -> Sequent:
         """The F and G instances of the grammar's tuples."""
-        g = self.grammar
-        return midsequent(self.problem, HerbrandInstanceSet(g.f_tuples, g.g_tuples))
+        return midsequent(self.problem, self.grammar)
 
     @cached_property
     def leaves(self) -> tuple[frozenset[Literal], ...]:
@@ -476,12 +475,8 @@ class SolverOptions:
 @dataclass
 class SolutionReport:
     solutions: tuple[ClauseSet, ...]
-    cut_formula: Formula
-    verified: bool
     balanced: bool
     complexity: object  # ComplexityTriple of the emitted proof
-    slot_complexity: int
-    shared_complexity: int
     stats: SearchStats
     proof: object  # calculus.Node
     eh: ExtendedHerbrandSequent
@@ -551,8 +546,6 @@ def introduce_cut(
     """Find a cut matrix over the given pool, verify it, and build the
     one-cut proof.  Candidates are tried smallest first (clause count,
     then literal count, then canonical order)."""
-    from .calculus import complexities
-
     sehs = build_sehs(pb, g, term_set)
     stats = SearchStats()
     clauses = _starting_clauses(sehs, options, stats)
@@ -584,12 +577,8 @@ def introduce_cut(
     proof = proof_from_eh(eh)
     return SolutionReport(
         solutions=tuple(found),
-        cut_formula=eh.cut_formula(),
-        verified=True,
         balanced=is_balanced(sehs, best),
         complexity=complexities(proof),
-        slot_complexity=eh.complexity(),
-        shared_complexity=eh.shared_complexity(),
         stats=stats,
         proof=proof,
         eh=eh,

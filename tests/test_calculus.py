@@ -28,9 +28,9 @@ from pi2cut.calculus import (
     symbol_count,
     tagged_leaves,
 )
-from pi2cut.benchmark import generate_sn
-from pi2cut.herbrand import ExtendedHerbrandSequent, proof_from_eh
-from pi2cut.solver import build_sehs
+from pi2cut.benchmark import generate_sn, minimal_cutfree_instances
+from pi2cut.herbrand import ExtendedHerbrandSequent, proof_from_eh, proof_from_herbrand
+from pi2cut.solver import NoSolutionUnderPool, build_sehs, introduce_cut
 from pi2cut.syntax import (
     ALPHA,
     And,
@@ -486,6 +486,72 @@ class TestStrayFields:
         assert report.error.startswith(f"{rule} takes no ")
 
 
+def reference_term_symbols(t) -> int:
+    """The symbol count of a term, by structure."""
+    if isinstance(t, Var):
+        return 1
+    return 1 + sum(reference_term_symbols(u) for u in t.args)
+
+
+def reference_formula_symbols(f) -> int:
+    """The symbol count of a formula, by structure: a quantifier and its
+    variable are two."""
+    if isinstance(f, Atom):
+        return 1 + sum(reference_term_symbols(u) for u in f.args)
+    if isinstance(f, Not):
+        return 1 + reference_formula_symbols(f.sub)
+    if isinstance(f, (And, Or, Imp)):
+        return 1 + reference_formula_symbols(f.left) + reference_formula_symbols(f.right)
+    assert isinstance(f, (ForAll, Exists))
+    return 2 + reference_formula_symbols(f.body)
+
+
+def reference_symbol_count(s: Sequent) -> int:
+    """The definition `symbol_count` reads off the canonical text."""
+    formulas = sum(map(reference_formula_symbols, [*s.left, *s.right]))
+    return formulas + max(0, len(s.left) - 1) + max(0, len(s.right) - 1) + 1
+
+
+def random_term(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.3:
+        return Var(rng.choice("uvw")) if rng.random() < 0.5 else const(rng.choice("abc"))
+    arity = rng.randint(1, 3)
+    return App(f"f{arity}", tuple(random_term(rng, depth - 1) for _ in range(arity)))
+
+
+def random_formula(rng: random.Random, depth: int):
+    """Quantifiers, connectives and atoms of arity 0 to 3 over nullary and
+    n-ary terms."""
+    if depth <= 0 or rng.random() < 0.25:
+        arity = rng.randint(0, 3)
+        return Atom(f"R{arity}", tuple(random_term(rng, 3) for _ in range(arity)))
+    op = rng.choice([Not, And, Or, Imp, ForAll, Exists])
+    if op is Not:
+        return Not(random_formula(rng, depth - 1))
+    if op in (ForAll, Exists):
+        return op(rng.choice("uvw"), random_formula(rng, depth - 1))
+    return op(random_formula(rng, depth - 1), random_formula(rng, depth - 1))
+
+
+def _measured_proofs():
+    """The proofs whose sequents the measures are checked on: the one-cut
+    proofs of the solvable fixtures and of S_2..S_7, and the cut-free
+    proofs of the two-step fixture, S_2 and S_3."""
+    for path in sorted(PROBLEM_DIR.glob("*.p2")):
+        pf = load(path.name)
+        try:
+            yield path.name, introduce_cut(pf.problem, pf.grammar).proof
+        except NoSolutionUnderPool:
+            pass
+    pf = two_step()
+    yield "two_step cut-free", proof_from_herbrand(pf.problem, pf.herbrand_terms)
+    for n in range(2, 8):
+        sn = generate_sn(n)
+        yield f"S_{n}", introduce_cut(sn.problem, sn.grammar).proof
+        if n <= 3:
+            yield f"S_{n} cut-free", proof_from_herbrand(sn.problem, minimal_cutfree_instances(n)[0])
+
+
 class TestComplexities:
     def test_axiom_only(self):
         s = Sequent.of([P(a)], [P(a)])
@@ -497,6 +563,20 @@ class TestComplexities:
         s = Sequent.of([P(a, a)], [Q(a), P(a, a)])
         # P,a,a + Q,a + P,a,a + one comma + turnstile
         assert symbol_count(s) == 3 + 2 + 3 + 1 + 1
+        rng = random.Random(62_000)
+        for i in range(300):
+            s = Sequent.of(
+                [random_formula(rng, 4) for _ in range(rng.randint(0, 3))],
+                [random_formula(rng, 4) for _ in range(rng.randint(0, 3))],
+            )
+            assert symbol_count(s) == reference_symbol_count(s), f"case {i}"
+        for name, proof in _measured_proofs():
+            nodes = list(proof.nodes())
+            for n in nodes:
+                assert symbol_count(n.sequent) == reference_symbol_count(n.sequent), name
+            logical = sum(1 for n in nodes if n.premises)
+            want = sum(reference_symbol_count(n.sequent) for n in nodes) + logical
+            assert complexities(proof).symbols == want, name
 
     def test_ordering_holds_on_generated_proofs(self):
         from pi2cut.herbrand import proof_from_herbrand

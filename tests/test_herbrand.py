@@ -4,7 +4,14 @@ import pytest
 
 from fixtures import two_step, two_step_instances
 from pi2cut.benchmark import generate_sn, minimal_cutfree_instances
-from pi2cut.calculus import CUT, WEAK_RULES, check_proof, complexities, is_tautology
+from pi2cut.calculus import (
+    CUT,
+    WEAK_RULES,
+    ComplexityTriple,
+    check_proof,
+    complexities,
+    is_tautology,
+)
 from pi2cut.grammar import SchematicPi2Grammar
 from pi2cut.herbrand import (
     ExtendedHerbrandSequent,
@@ -213,8 +220,9 @@ class TestProofFromHerbrand:
     def test_long_branch_built_without_deep_recursion(self):
         # P c, P x -> P (s x) |- P (s^n c): the propositional part of the
         # proof is one branch n inferences long.  The stack is capped well
-        # below n frames; only the builder's own depth is under test, so
-        # each term's printed form is cached as the term is made.
+        # below n frames; only the builder's, the checker's and the
+        # measures' own depth is under test, so each term's printed form is
+        # cached as the term is made.
         n = 150
         sig = Signature({"c": 0, "s": 1}, {"P": 1})
         s = lambda t: App("s", (t,))
@@ -236,6 +244,7 @@ class TestProofFromHerbrand:
         try:
             proof = proof_from_herbrand(pb, inst)
             assert check_proof(proof).ok
+            assert complexities(proof) == ComplexityTriple(n + 1, 2 * n + 2, 7105144)
         finally:
             sys.setrecursionlimit(limit)
         assert sum(node.rule in WEAK_RULES for node in proof.nodes()) == n + 1

@@ -139,6 +139,34 @@ class TestProblemFiles:
             parse_problem(broken)
         assert "expects 2 arguments" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "arity, message",
+        [("\u00b2", "arity must be a number: \u00b2"), ("9" * 5000, "arity too large")],
+        ids=["superscript-two", "5000-digits"],
+    )
+    @pytest.mark.parametrize(
+        "command, reader, text, old, where",
+        [
+            ("solve", parse_problem, (PROBLEM_DIR / "two_step.p2").read_text(), "(fun r1 0)", "5:11"),
+            ("check", parse_proof, _proof_text("", "(sequent (left (P c)) (right (P c)))"),
+             "(fun c 0)", "2:21"),
+        ],
+        ids=["problem", "proof"],
+    )
+    def test_malformed_arity_positioned(
+        self, tmp_path, capsys, command, reader, text, old, where, arity, message
+    ):
+        # Both used to end in a ValueError traceback from int().
+        assert old in text
+        bad_text = text.replace(old, old.replace("0", arity), 1)
+        with pytest.raises(ParseError) as err:
+            reader(bad_text)
+        assert str(err.value) == f"{where}: {message}"
+        bad = tmp_path / "bad"
+        bad.write_text(bad_text, encoding="utf-8")
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
     def test_unknown_symbol(self):
         pf_text = (PROBLEM_DIR / "two_step.p2").read_text()
         broken = pf_text.replace("(t1 alpha)", "(t9 alpha)", 1)
