@@ -9,6 +9,7 @@ down to 4n + 3.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .grammar import SchematicPi2Grammar
@@ -122,16 +123,10 @@ def _minimal_instances(n: int) -> HerbrandInstanceSet:
     f_tuples = [(t, t, _fi(i, t)) for t in a_terms for i in range(1, n + 1)]
 
     g_tuples = []
-    for heads in _head_vectors(n):
+    for heads in itertools.product(range(1, n + 1), repeat=n - 1):
         ys = [c, _fi(heads[0], c)]
         for j in range(3, n + 1):
             ys.append(_fi(heads[j - 2], _f(ys[-1])))
         ys += [ys[0], ys[-1]]
         g_tuples.append(tuple(ys))
     return HerbrandInstanceSet(f_tuples, g_tuples)
-
-
-def _head_vectors(n: int) -> list[tuple[int, ...]]:
-    import itertools
-
-    return list(itertools.product(range(1, n + 1), repeat=n - 1))

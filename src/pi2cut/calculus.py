@@ -263,7 +263,7 @@ def non_tautological_leaves(s: Sequent) -> frozenset[Sequent]:
 
 # Tagged variant: which closing atoms of a derivation descend from a
 # designated root formula.  It is the reference definition of balance;
-# `solver.is_balanced` reads the same verdict from the leaves' literal sets
+# `solver.is_balanced` reads the same verdict from the leaf sequents
 # through the solver's one literal-to-leaves index, and the tests compare
 # the two.  A sequent side becomes a mapping formula -> origin; when
 # decomposition merges two occurrences the tag "end" wins (such an

@@ -22,6 +22,7 @@ from .syntax import (
     Exists,
     ForAll,
     Formula,
+    Imp,
     Sequent,
     SyntaxError_,
     Term,
@@ -29,11 +30,14 @@ from .syntax import (
     X,
     Y,
     beta,
+    conj,
+    disj,
     exists_block,
     forall_block,
     formula_key,
     free_vars,
     is_quantifier_free,
+    is_reserved,
     sharp_count,
     substitute,
     tuple_key,
@@ -60,8 +64,6 @@ class PrenexProblem:
     succedent: Formula
 
     def __post_init__(self) -> None:
-        from .syntax import is_reserved
-
         for v in tuple(self.forall_vars) + tuple(self.exists_vars):
             if is_reserved(v):
                 raise SyntaxError_(f"'{v}' is reserved and cannot be a block variable")
@@ -145,8 +147,6 @@ class ExtendedHerbrandSequent:
         return midsequent(self.problem, self.grammar)
 
     def sequent(self) -> Sequent:
-        from .syntax import Imp, conj, disj
-
         mid = self.instance_sequent()
         alphas, betas = cut_instances(self.cut_matrix, self.grammar)
         return Sequent(mid.left | {Imp(disj(alphas), conj(betas))}, mid.right)

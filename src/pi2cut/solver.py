@@ -2,12 +2,13 @@
 
 Pipeline: one `Sehs` per solve derives what does not depend on the
 matrix.  The end-sequent instances of a schematic grammar form its
-reduced representation; each non-tautological leaf of it is one set of
-antecedent literals (succedent atoms negated), and one index maps each
-literal to the leaves that hold it.  Candidate matrices are disjunctive
-normal forms over clause sets drawn from a starting set; two closure
-filters, set operations over that index, prune clause sets that cannot
-close every leaf, the survivors are verified by SAT against the same
+reduced representation; one index maps each literal (antecedent atoms
+positive, succedent atoms negated) to its non-tautological leaves that
+hold it, read straight from the leaf engine's sequents: no literal-set
+copy, no canonical order.  Candidate matrices are disjunctive normal
+forms over clause sets drawn from a starting set; two closure filters,
+set operations over that index, prune clause sets that cannot close
+every leaf, the survivors are verified by SAT against the same
 instances, and a verified set becomes a checked proof with one cut.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
@@ -60,7 +62,6 @@ from .syntax import (
     beta,
     clause_key,
     dnf_of,
-    dual,
     free_vars,
     literal_key,
     substitute_literal,
@@ -126,9 +127,10 @@ class Sehs:
 
     It derives, once each and on first use, everything a solve needs that
     does not depend on the matrix: the instance sequent (the reduced
-    representation), its leaves, one index of the leaves that hold each
-    literal, and each clause's picks.  The closure filters, the pools, the
-    search, the verifier and the balance test all read them from here."""
+    representation), its leaf sequents (leaf i is bit i of every mask, in
+    no canonical order), one index of the leaves that hold each literal,
+    and each clause's picks.  The closure filters, the pools, the search,
+    the verifier and the balance test all read them from here."""
 
     problem: PrenexProblem
     grammar: SchematicPi2Grammar
@@ -143,9 +145,9 @@ class Sehs:
         return midsequent(self.problem, self.grammar)
 
     @cached_property
-    def leaves(self) -> tuple[frozenset[Literal], ...]:
-        """The leaves' literal sets in canonical order (by their sorted literal keys)."""
-        return tuple(sorted(partitioned_dnta(self), key=lambda l: sorted(map(literal_key, l))))
+    def leaves(self) -> tuple[Sequent, ...]:
+        """The non-tautological leaf sequents, in the engine's order."""
+        return tuple(partitioned_dnta(self))
 
     @cached_property
     def all_leaves(self) -> int:
@@ -153,12 +155,15 @@ class Sehs:
 
     @cached_property
     def _holders(self) -> dict[int, int]:
-        out: dict[int, int] = {}
+        """Per literal id, the mask of the leaves that hold it (an antecedent
+        atom as ``+id``, a succedent atom as ``-id``), set bit by bit in one
+        byte row per id: OR-ing into an int would copy the mask per atom."""
+        rows = defaultdict(lambda: bytearray(len(self.leaves) // 8 + 1))
         for idx, leaf in enumerate(self.leaves):
-            for lit in leaf:
-                n = self.lit_id(lit)
-                out[n] = out.get(n, 0) | 1 << idx
-        return out
+            for sign, side in ((1, leaf.left), (-1, leaf.right)):
+                for n in map(self._atom_id, side):
+                    rows[sign * n][idx >> 3] |= 1 << (idx & 7)
+        return {n: int.from_bytes(row, "little") for n, row in rows.items()}
 
     def holding(self, ids: Iterable[int]) -> int:
         """The mask of the leaves that hold one of the literals with these ids."""
@@ -167,10 +172,13 @@ class Sehs:
             mask |= self._holders.get(n, 0)
         return mask
 
+    def _atom_id(self, atom: Atom) -> int:
+        return self._atom_ids.setdefault(atom, len(self._atom_ids) + 1)
+
     def lit_id(self, lit: Literal) -> int:
         """A signed number per literal: its atom's number, negated when the
         literal is negative, so that a literal's dual is its negation."""
-        n = self._atom_ids.setdefault(lit.atom, len(self._atom_ids) + 1)
+        n = self._atom_id(lit.atom)
         return n if lit.positive else -n
 
     def alpha_t(self, lit: Literal, i: int) -> Literal:
@@ -248,19 +256,12 @@ def build_sehs(
     return Sehs(pb, g)
 
 
-def partitioned_dnta(sehs: Sehs) -> frozenset[frozenset[Literal]]:
+def partitioned_dnta(sehs: Sehs) -> frozenset[Sequent]:
     """The non-tautological leaves of the maximal derivation of the
-    reduced representation, each read as one set of antecedent literals:
-    succedent atoms negated, antecedent atoms positive.  No A/B/N split is
-    stored (the closure tests read it from free variables); the name stays
-    because ``perfbench/tracer.py`` times this stage under it."""
-    return frozenset(
-        frozenset(
-            [Literal(False, a) for a in leaf.right]  # type: ignore[arg-type]
-            + [Literal(True, a) for a in leaf.left]  # type: ignore[arg-type]
-        )
-        for leaf in non_tautological_leaves(sehs.reduced_representation)
-    )
+    reduced representation, as the leaf engine returns them.  No A/B/N
+    split is stored (the closure tests read it from free variables); the
+    name stays because ``perfbench/tracer.py`` times this stage under it."""
+    return non_tautological_leaves(sehs.reduced_representation)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +350,15 @@ def _leaf_literals(sehs: Sehs) -> tuple[set[Literal], frozenset[Literal]]:
     betas = frozenset(sehs.grammar.beta_vars())
     lefts: set[Literal] = set()
     rights: set[Literal] = set()
-    for lit in set().union(*sehs.leaves):
-        vs = free_vars(lit.atom)
-        if ALPHA in vs or betas.isdisjoint(vs):
-            lefts.add(lit)
-        if ALPHA not in vs:
-            rights.add(dual(lit))
+    left_atoms = set().union(*(leaf.left for leaf in sehs.leaves))
+    right_atoms = set().union(*(leaf.right for leaf in sehs.leaves))
+    for positive, atoms in ((True, left_atoms), (False, right_atoms)):
+        for atom in atoms:
+            vs = free_vars(atom)
+            if ALPHA in vs or betas.isdisjoint(vs):
+                lefts.add(Literal(positive, atom))
+            if ALPHA not in vs:
+                rights.add(Literal(not positive, atom))
     return lefts, frozenset(rights)
 
 

@@ -59,12 +59,14 @@ def nlit(pred: str, *args) -> Literal:
 
 
 def leaf_parts(sehs, leaf) -> tuple[frozenset[Literal], ...]:
-    """The paper's split of a leaf's literals by eigenvariable use: those
-    with ``alpha`` free (A), those with some ``bj`` free and no ``alpha``
-    (B), and the neutral rest (N)."""
+    """A leaf sequent read in the antecedent view (antecedent atoms
+    positive, succedent atoms negated), split as the paper does by
+    eigenvariable use: the literals with ``alpha`` free (A), those with
+    some ``bj`` free and no ``alpha`` (B), and the neutral rest (N)."""
     betas = set(sehs.grammar.beta_vars())
     parts: tuple[set[Literal], ...] = (set(), set(), set())
-    for l in leaf:
+    view = [Literal(True, a) for a in leaf.left] + [Literal(False, a) for a in leaf.right]
+    for l in view:
         vs = free_vars(l.atom)
         parts[0 if ALPHA in vs else 1 if vs & betas else 2].add(l)
     return tuple(map(frozenset, parts))

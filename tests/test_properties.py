@@ -150,6 +150,37 @@ def test_pools_match_their_pairwise_definitions():
             assert naive_pool(sehs) == naive, f"seed {seed}"
 
 
+def _leaf_order_results(sehs):
+    """Every result read from the leaf masks: both pools, the filter
+    survivors over the naive pool's clauses and their balance verdicts."""
+    naive = naive_pool(sehs)
+    survivors = sol_filter(cl_filter(clauses_from_pool(naive, 2), sehs, 2), sehs)
+    return gstar_pool(sehs), naive, {cs: is_balanced(sehs, cs) for cs in survivors}
+
+
+def test_no_result_depends_on_leaf_order():
+    from fixtures import PROBLEM_DIR, load
+    from pi2cut.benchmark import generate_sn
+    from pi2cut.solver import Sehs, build_sehs
+
+    problems = [load(p.name) for p in sorted(PROBLEM_DIR.glob("*.p2"))]
+    problems += [generate_sn(n) for n in range(2, 7)]
+    cases = [build_sehs(pf.problem, pf.grammar) for pf in problems]
+    cases += [
+        random_sehs(random.Random(3300 + seed), rich=seed % 2 == 0, max_leaves=6)
+        for seed in range(40)
+    ]
+    reordered = survivors = 0
+    for sehs in cases:
+        twin = Sehs(sehs.problem, sehs.grammar)
+        vars(twin)["leaves"] = sehs.leaves[::-1]
+        expected = _leaf_order_results(sehs)
+        assert _leaf_order_results(twin) == expected, sehs.problem
+        reordered += len(sehs.leaves) > 1
+        survivors += len(expected[2])
+    assert reordered >= 20 and survivors >= 100
+
+
 def test_allowed_sets_subset_closed():
     for seed in range(40):
         rng = random.Random(1700 + seed)

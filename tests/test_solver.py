@@ -50,7 +50,7 @@ from pi2cut.syntax import (
     App,
     Atom,
     Imp,
-    Literal,
+    Sequent,
     SyntaxError_,
     Var,
     X,
@@ -112,24 +112,16 @@ class TestBuildSehs:
         build_sehs(pf.problem, pf.grammar, two_step_instances())
 
 
-def leaf_key(leaf) -> tuple[str, ...]:
-    return tuple(sorted(map(literal_key, leaf)))
-
-
-def reference_partition(sehs) -> tuple[frozenset[Literal], ...]:
+def reference_partition(sehs) -> frozenset[Sequent]:
     """`Sehs.leaves` computed the long way: the non-tautological leaves of
-    the full maximal derivation, each rewritten into antecedent literals
-    (succedent atoms negated), in canonical order."""
+    the full maximal derivation of the reduced representation."""
     from pi2cut.calculus import NON_TAUT_LEAF, maximal_derivation
 
-    out = set()
-    for node in maximal_derivation(sehs.reduced_representation).leaves():
-        if node.rule != NON_TAUT_LEAF:
-            continue
-        lits = [Literal(False, a) for a in node.sequent.right]
-        lits += [Literal(True, a) for a in node.sequent.left]
-        out.add(frozenset(lits))
-    return tuple(sorted(out, key=leaf_key))
+    return frozenset(
+        node.sequent
+        for node in maximal_derivation(sehs.reduced_representation).leaves()
+        if node.rule == NON_TAUT_LEAF
+    )
 
 
 class TestPartitionedDnta:
@@ -145,14 +137,16 @@ class TestPartitionedDnta:
             random_sehs(random.Random(seed), rich=seed % 2 == 0, max_leaves=8) for seed in range(60)
         ]
         for sehs in cases:
-            assert sehs.leaves == reference_partition(sehs)
-            # No literal has both alpha and a b-variable free, so the split
+            # Leaf order is no property: only the bit masks read it.
+            assert len(set(sehs.leaves)) == len(sehs.leaves)
+            assert set(sehs.leaves) == reference_partition(sehs)
+            # No atom has both alpha and a b-variable free, so the split
             # by free variables is well defined.
             betas = set(sehs.grammar.beta_vars())
             for leaf in sehs.leaves:
-                for l in leaf:
-                    vs = free_vars(l.atom)
-                    assert not (ALPHA in vs and vs & betas), l
+                for atom in leaf.left | leaf.right:
+                    vs = free_vars(atom)
+                    assert not (ALPHA in vs and vs & betas), atom
 
     def test_succedent_negated_antecedent_positive(self):
         pf = shared_base()
@@ -160,32 +154,33 @@ class TestPartitionedDnta:
         r, b1, b2 = const("r"), Var("b1"), Var("b2")
         a_part = frozenset({lit("P", alpha, t1(alpha)), lit("Q", alpha, t2(alpha))})
         b_parts = (frozenset({nlit("P", r, b1)}), frozenset({nlit("Q", r, b2)}))
-        assert partitioned_dnta(sehs) == {a_part | b for b in b_parts}
+        a_atoms = [l.atom for l in a_part]
+        assert partitioned_dnta(sehs) == {
+            Sequent.of(a_atoms, [l.atom for l in b]) for b in b_parts
+        }
         assert {leaf_parts(sehs, leaf) for leaf in sehs.leaves} == {
             (a_part, b, frozenset()) for b in b_parts
         }
 
     def test_every_leaf_atom_kept_once(self):
+        # The index holds each leaf atom once, with its side's sign: leaf
+        # i holds a literal exactly when the literal is in its antecedent
+        # view.
         from pi2cut.benchmark import generate_sn
-        from pi2cut.calculus import non_tautological_leaves
 
         sn = generate_sn(3)
         sehs = build_sehs(sn.problem, sn.grammar)
-        rr = sehs.reduced_representation
-        by_atoms = {
-            leaf.left | leaf.right: (leaf.left, leaf.right) for leaf in non_tautological_leaves(rr)
-        }
-        assert len(by_atoms) == len(sehs.leaves)
-        for lits in sehs.leaves:
-            left, right = by_atoms[frozenset(l.atom for l in lits)]
-            assert len(lits) == len(left) + len(right)
-            assert {l.atom for l in lits if l.positive} == left
-            assert {l.atom for l in lits if not l.positive} == right
+        views = [frozenset().union(*leaf_parts(sehs, leaf)) for leaf in sehs.leaves]
+        literals = {q for l in frozenset().union(*views) for q in (l, dual(l))}
+        for l in literals:
+            mask = sehs.holding([sehs.lit_id(l)])
+            for i, view in enumerate(views):
+                assert bool(mask >> i & 1) == (l in view), (i, l)
 
     def test_swap_pair_leaves(self):
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
-        leaves = sorted(partitioned_dnta(sehs), key=leaf_key)
+        leaves = partitioned_dnta(sehs)
         assert len(leaves) == 2
         r = const("r")
         b1 = Var("b1")
@@ -247,7 +242,11 @@ class TestPartitionedDnta:
                     a.add(lit("P", alpha, f(fi(other, alpha))))
                 expected.add((frozenset(a), b_part, frozenset()))
         assert {leaf_parts(sehs, leaf) for leaf in leaves} == expected
-        assert leaves == {a | b | n for a, b, n in expected}
+        # The antecedent view read back: positive atoms left, negated right.
+        view = lambda lits: Sequent.of(
+            [l.atom for l in lits if l.positive], [l.atom for l in lits if not l.positive]
+        )
+        assert leaves == {view(a | b | n) for a, b, n in expected}
 
 
 class TestAntiInstances:
@@ -295,7 +294,7 @@ class TestInAllowed:
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
         # A leaf without an alpha part admits no literal.
-        vars(sehs)["leaves"] = (frozenset({nlit("P", const("r"), Var("b1"))}),)
+        vars(sehs)["leaves"] = (Sequent.of([], [Atom("P", (const("r"), Var("b1")))]),)
         assert sehs.all_leaves == 1
         assert allowed_literals(sehs, 0) == []
 
