@@ -6,10 +6,11 @@ reduced representation; one index maps each literal (antecedent atoms
 positive, succedent atoms negated) to its non-tautological leaves that
 hold it, read straight from the leaf engine's sequents: no literal-set
 copy, no canonical order.  Candidate matrices are disjunctive normal
-forms over clause sets drawn from a starting set; two closure filters,
-set operations over that index, prune clause sets that cannot close
-every leaf, the survivors are verified by SAT against the same
-instances, and a verified set becomes a checked proof with one cut.
+forms over clause sets drawn from a starting set, each set built from
+cl survivors one clause smaller; two closure filters, set operations
+over that index, prune clause sets that cannot close every leaf, the
+survivors are verified by SAT against the same instances, and a
+verified set becomes a checked proof with one cut.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .calculus import complexities, is_tautology, non_tautological_leaves
 # Unused here; stays importable because perfbench/tracer.py wraps solver.maximal_derivation.
@@ -305,12 +306,13 @@ def _passes_sol(cand: Sequence[Clause], sehs: Sehs) -> bool:
 def cl_filter(
     starting: Iterable[Clause], sehs: Sehs, max_clauses: int | None = None
 ) -> frozenset[ClauseSet]:
-    """Subsets of the starting set that survive the universal-side filter."""
+    """Subsets of the starting set, of at most `max_clauses` clauses, that
+    survive the universal-side filter.  A subset is tried only when every
+    subset one clause smaller survived (see `_cl_survivors`)."""
     clauses = set(starting)
     limit = len(clauses) if max_clauses is None else max_clauses
-    return frozenset(
-        frozenset(cs) for cs in _clause_sets(clauses, limit) if _passes_cl(cs, sehs)
-    )
+    stats = SearchStats(candidates=0, cl_passed=0)
+    return frozenset(map(frozenset, _cl_survivors(clauses, sehs, limit, stats)))
 
 
 def sol_filter(candidates: Iterable[ClauseSet], sehs: Sehs) -> frozenset[ClauseSet]:
@@ -507,38 +509,65 @@ def _starting_clauses(sehs: Sehs, options: SolverOptions, stats: SearchStats) ->
     return clauses
 
 
-def _clause_sets(clauses: Iterable[Clause], max_clauses: int) -> Iterator[tuple[Clause, ...]]:
-    """Every set of 1..max_clauses distinct clauses, lazily and smallest
-    first: by clause count, then literal count, then the tuple of the
-    clauses' canonical keys, each set listing its clauses by size, then key.
+def _next_level(
+    parents: Collection[tuple[Clause, ...]], pool: Sequence[Clause]
+) -> Iterator[tuple[Clause, ...]]:
+    """The sets of one pool clause more than a parent whose every subset
+    one clause smaller is a parent, lazily and smallest first: by literal
+    count, then the tuple of the clauses' canonical keys.  The pool and
+    each set list their clauses by size, then key.
 
-    Per clause count and literal total, each size profile (a multiset of
-    clause sizes with that total) streams the product of combinations
-    within each size group in key order; merging the profile streams
-    keeps that order without holding a whole level in memory."""
-    keys = {c: clause_key(c) for c in clauses}
-    ordered = sorted(keys, key=lambda c: (len(c), keys[c]))
-    groups = {
-        size: list(group) for size, group in itertools.groupby(ordered, key=len)
-    }
+    A set is its parent plus one later pool clause, so each parent streams
+    its sets in order; merging those streams keeps the order without
+    building the level."""
+    pos = {c: i for i, c in enumerate(pool)}
+    keys = {c: clause_key(c) for c in pool}
 
-    def profile_sets(profile: tuple[int, ...]) -> Iterator[tuple[Clause, ...]]:
-        # A nested loop, not itertools.product, which holds every factor.
-        if not profile:
-            yield ()
+    def extensions(parent: tuple[Clause, ...]) -> Iterator[tuple[Clause, ...]]:
+        for c in itertools.islice(pool, pos[parent[-1]] + 1 if parent else 0, None):
+            cs = parent + (c,)
+            if all(cs[:i] + cs[i + 1 :] in parents for i in range(len(parent))):
+                yield cs
+
+    return heapq.merge(
+        *map(extensions, parents),
+        key=lambda cs: (sum(map(len, cs)), tuple(keys[c] for c in cs)),
+    )
+
+
+def _cl_survivors(
+    clauses: Iterable[Clause],
+    sehs: Sehs,
+    max_clauses: int,
+    stats: SearchStats,
+    max_candidates: int | None = None,
+) -> Iterator[tuple[Clause, ...]]:
+    """The sets of 1..max_clauses distinct clauses that pass the cl filter,
+    smallest first: by clause count, then as `_next_level` orders a level.
+
+    The cl filter is anti-monotone: a superset of a failing set holds its
+    failing pick vector.  So level 1 tries every clause, level k only the
+    sets of level-1 survivors whose every subset of k - 1 clauses survived
+    level k - 1 (Apriori), and a level without survivors ends the search.
+    Each tried set counts as a candidate in `stats`; trying one more than
+    `max_candidates` raises `CapExceeded`."""
+    pool = sorted(clauses, key=lambda c: (len(c), clause_key(c)))
+    level: list[tuple[Clause, ...]] = [()]
+    for k in range(1, max_clauses + 1):
+        parents, level = set(level), []
+        for cand in _next_level(parents, pool):
+            if max_candidates is not None and stats.candidates >= max_candidates:
+                stats.caps_hit = True
+                raise CapExceeded(stats, f"more than {max_candidates} candidates")
+            stats.candidates += 1
+            if _passes_cl(cand, sehs):
+                stats.cl_passed += 1
+                level.append(cand)
+                yield cand
+        if not level:
             return
-        count = profile.count(profile[0])
-        for head in itertools.combinations(groups[profile[0]], count):
-            for tail in profile_sets(profile[count:]):
-                yield head + tail
-
-    for k in range(1, min(max_clauses, len(ordered)) + 1):
-        profiles = sorted(itertools.combinations_with_replacement(groups, k), key=sum)
-        for _, same_total in itertools.groupby(profiles, key=sum):
-            yield from heapq.merge(
-                *map(profile_sets, same_total),
-                key=lambda cs: tuple(keys[c] for c in cs),
-            )
+        if k == 1:
+            pool = [c for (c,) in level]
 
 
 def introduce_cut(
@@ -548,21 +577,17 @@ def introduce_cut(
     term_set: HerbrandInstanceSet | None = None,
 ) -> SolutionReport:
     """Find a cut matrix over the given pool, verify it, and build the
-    one-cut proof.  Candidates are tried smallest first (clause count,
-    then literal count, then canonical order)."""
+    one-cut proof.  The cl survivors (`_cl_survivors`) go through the sol
+    filter and the verifier smallest first (clause count, then literal
+    count, then canonical order); `stats.candidates` counts the sets the
+    cl filter tried, and `max_candidates` caps that count."""
     sehs = build_sehs(pb, g, term_set)
     stats = SearchStats()
     clauses = _starting_clauses(sehs, options, stats)
     stats.candidates = stats.cl_passed = stats.sol_passed = 0
     found: list[ClauseSet] = []
-    for cand in _clause_sets(clauses, options.max_clauses):
-        if stats.candidates >= options.max_candidates:
-            stats.caps_hit = True
-            raise CapExceeded(stats, f"more than {options.max_candidates} candidates")
-        stats.candidates += 1
-        if not _passes_cl(cand, sehs):
-            continue
-        stats.cl_passed += 1
+    survivors = _cl_survivors(clauses, sehs, options.max_clauses, stats, options.max_candidates)
+    for cand in survivors:
         if not _passes_sol(cand, sehs):
             continue
         stats.sol_passed += 1

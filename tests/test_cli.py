@@ -81,6 +81,18 @@ class TestSolve:
         assert (data["pool-size"], data["cl-passed"]) == ("6", "1")
         assert data["candidates"] == "10"
 
+    def test_cap_at_the_pruned_count(self, capsys):
+        # unsolvable_two_bases under the naive pool tries 721 sets.
+        argv = ["solve", TWO_BASES, "--pool", "naive", "--json", "--max-candidates"]
+        assert main(argv + ["720"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert (data["status"], data["candidates"], data["caps-hit"]) == ("cap-exceeded", "720", "true")
+        assert main(argv + ["721"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "no-solution"
+        counts = (data["candidates"], data["cl-passed"], data["sol-passed"], data["caps-hit"])
+        assert counts == ("721", "696", "0", "false")
+
     def test_generalisation_site_cap(self, tmp_path, capsys):
         # 17 occurrences of alpha in one leaf literal: more generalisation
         # sites than either pool explores, a search limit on valid input.

@@ -2,6 +2,7 @@
 propositional oracle and the proof constructors.  Deterministic seeds;
 the acceptance suite re-runs these at larger sizes."""
 
+import heapq
 import itertools
 import random
 
@@ -17,9 +18,16 @@ from pi2cut.herbrand import (
     proof_from_herbrand,
 )
 from pi2cut.solver import (
+    NoSolutionUnderPool,
+    SearchStats,
+    SolverOptions,
+    _cl_survivors,
+    _passes_cl,
+    _passes_sol,
     cl_filter,
     clauses_from_pool,
     gstar_pool,
+    introduce_cut,
     is_balanced,
     naive_pool,
     sol_filter,
@@ -179,6 +187,115 @@ def test_no_result_depends_on_leaf_order():
         reordered += len(sehs.leaves) > 1
         survivors += len(expected[2])
     assert reordered >= 20 and survivors >= 100
+
+
+def reference_clause_sets(clauses, max_clauses):
+    """Every set of 1..max_clauses distinct clauses, lazily and smallest
+    first: by clause count, then literal count, then the tuple of the
+    clauses' canonical keys, each set listing its clauses by size, then key.
+
+    Per clause count and literal total, each size profile (a multiset of
+    clause sizes with that total) streams the product of combinations
+    within each size group in key order; merging the profile streams
+    keeps that order without holding a whole level in memory."""
+    keys = {c: clause_key(c) for c in clauses}
+    ordered = sorted(keys, key=lambda c: (len(c), keys[c]))
+    groups = {size: list(group) for size, group in itertools.groupby(ordered, key=len)}
+
+    def profile_sets(profile):
+        # A nested loop, not itertools.product, which holds every factor.
+        if not profile:
+            yield ()
+            return
+        count = profile.count(profile[0])
+        for head in itertools.combinations(groups[profile[0]], count):
+            for tail in profile_sets(profile[count:]):
+                yield head + tail
+
+    for k in range(1, min(max_clauses, len(ordered)) + 1):
+        profiles = sorted(itertools.combinations_with_replacement(groups, k), key=sum)
+        for _, same_total in itertools.groupby(profiles, key=sum):
+            yield from heapq.merge(
+                *map(profile_sets, same_total),
+                key=lambda cs: tuple(keys[c] for c in cs),
+            )
+
+
+def _search_cases():
+    """(problem file, its Sehs, pool option, clause size, the starting
+    clauses, max_clauses).  Clauses take the CLI's size of at most three
+    literals, except in the pools of more than six literals (swap_pair and
+    unbalanced_pair under the naive pool, 8 and 9 literals): there they
+    take at most two literals at three clauses and one at four, since
+    verifying every solution among their thousands of two-literal sets of
+    four takes seconds."""
+    from fixtures import PROBLEM_DIR, load
+    from pi2cut.benchmark import generate_sn
+    from pi2cut.solver import build_sehs
+
+    for path in sorted(PROBLEM_DIR.glob("*.p2")):
+        pf = load(path.name)
+        sehs = build_sehs(pf.problem, pf.grammar)
+        for pool, lits in (("gstar", gstar_pool(sehs)[0]), ("naive", naive_pool(sehs))):
+            for max_clauses in (3, 4):
+                size = 3 if len(lits) <= 6 else 5 - max_clauses
+                yield pf, sehs, pool, size, clauses_from_pool(lits, size), max_clauses
+    for n in range(2, 7):
+        sn = generate_sn(n)
+        sehs = build_sehs(sn.problem, sn.grammar)
+        for max_clauses in (3, 4):
+            yield sn, sehs, "gstar", 3, clauses_from_pool(gstar_pool(sehs)[0], 3), max_clauses
+    for seed in range(40):
+        rng = random.Random(3700 + seed)
+        sehs = random_sehs(rng, rich=seed % 2 == 0)
+        starting = random_starting_set(rng, rich=seed % 2 == 0)
+        for max_clauses in (3, 4):
+            yield sehs, sehs, starting, 3, list(starting), max_clauses
+
+
+def brute_search(sehs, reference, cl_verdicts, all_solutions):
+    """The search as one loop over every set of the full enumeration, given
+    each set's cl verdict: (solutions, sets tried, cl passes, sol passes)."""
+    found, tried, cl, sol = [], 0, 0, 0
+    for cs, passes_cl in zip(reference, cl_verdicts):
+        tried += 1
+        if not passes_cl:
+            continue
+        cl += 1
+        if _passes_sol(cs, sehs):
+            sol += 1
+            found.append(frozenset(cs))
+            if not all_solutions:
+                break
+    return tuple(found), tried, cl, sol
+
+
+def test_pruned_search_matches_the_full_enumeration():
+    """The level-wise cl survivors are the full enumeration's cl survivors
+    in the same order, and the search over them finds the solutions and
+    counts the cl and sol passes of the brute-force loop over every set,
+    while trying no more sets than that loop."""
+    pruned = solved = 0
+    for pf, sehs, pool, size, clauses, max_clauses in _search_cases():
+        reference = list(reference_clause_sets(clauses, max_clauses))
+        cl_verdicts = [_passes_cl(cs, sehs) for cs in reference]
+        stats = SearchStats(candidates=0, cl_passed=0)
+        survivors = list(_cl_survivors(clauses, sehs, max_clauses, stats))
+        assert survivors == list(itertools.compress(reference, cl_verdicts))
+        assert stats.candidates <= len(reference)
+        pruned += stats.candidates < len(reference)
+        for all_solutions in (False, True):
+            found, tried, cl, sol = brute_search(sehs, reference, cl_verdicts, all_solutions)
+            options = SolverOptions(pool, max_clauses, size, all_solutions=all_solutions)
+            try:
+                report = introduce_cut(pf.problem, pf.grammar, options)
+                solutions, s = report.solutions, report.stats
+            except NoSolutionUnderPool as e:
+                solutions, s = (), e.stats
+            assert (solutions, s.cl_passed, s.sol_passed) == (found, cl, sol), (pool, max_clauses)
+            assert s.candidates <= tried
+        solved += bool(found)
+    assert pruned >= 20 and solved >= 20, (pruned, solved)
 
 
 def test_allowed_sets_subset_closed():

@@ -33,7 +33,7 @@ from pi2cut.solver import (
     NotASolution,
     SolverError,
     SolverOptions,
-    _clause_sets,
+    _next_level,
     build_sehs,
     cl_filter,
     clauses_from_pool,
@@ -521,30 +521,34 @@ class TestPools:
 
 class TestClauseSets:
     def test_smallest_first_order(self):
+        # Where every set is a parent, each level is every set of that many
+        # of the 41 clauses: C(41,1) + C(41,2) + C(41,3) = 11521 in all.
         pf = two_bases()
         sehs = build_sehs(pf.problem, pf.grammar)
         clauses = clauses_from_pool(naive_pool(sehs), max_clause_size=3)
         keys = {c: clause_key(c) for c in clauses}
-        expected = [
-            combo
-            for k in (1, 2, 3)
-            for combo in sorted(
-                itertools.combinations(clauses, k),
-                key=lambda cs: (sum(map(len, cs)), tuple(keys[c] for c in cs)),
-            )
-        ]
-        assert len(expected) == 11521
-        assert list(_clause_sets(reversed(clauses), 3)) == expected
+        order = lambda cs: (sum(map(len, cs)), tuple(keys[c] for c in cs))
+        levels = [[()]]
+        for k in (1, 2, 3):
+            levels.append(list(_next_level(set(levels[-1]), clauses)))
+            assert levels[-1] == sorted(itertools.combinations(clauses, k), key=order)
+        assert sum(map(len, levels[1:])) == 11521
+        # A set is built only when each subset one clause smaller is a parent.
+        gone = levels[2][7]
+        pruned = list(_next_level(set(levels[2]) - {gone}, clauses))
+        assert pruned == [cs for cs in levels[3] if not set(gone) <= set(cs)]
+        assert len(levels[3]) - len(pruned) == len(clauses) - 2
 
     def test_order_holds_on_large_levels(self):
-        # 11 literals give 231 clauses, so C(231, 3) > 10**6 sets of three
-        # clauses; the C(11, 3) sets of three unit clauses come first.
+        # 11 literals give 231 clauses, so C(231, 3) > 2 * 10**6 sets of
+        # three clauses when every pair is a parent; the C(11, 3) sets of
+        # three unit clauses come first.
         pool = [lit(p, x, y) for p in "ABCDEFGHIJK"]
         clauses = clauses_from_pool(pool, max_clause_size=3)
         units = [c for c in clauses if len(c) == 1]
         assert len(units) == 11 and len(clauses) == 231
-        level3 = itertools.dropwhile(lambda cs: len(cs) < 3, _clause_sets(clauses, 3))
-        first = list(itertools.islice(level3, 165))
+        pairs = set(itertools.combinations(clauses, 2))
+        first = list(itertools.islice(_next_level(pairs, clauses), 165))
         assert all(sum(map(len, cs)) == 3 for cs in first)
         assert first == list(itertools.combinations(units, 3))
 
@@ -722,9 +726,11 @@ class TestIntroduceCut:
 
     def test_unsolvable_fixtures(self):
         # (pool size, candidates, cl survivors, sol survivors).  Naive: 6
-        # literals give 41 clauses of size <= 3, so C(41,1) + C(41,2) +
-        # C(41,3) = 11521 candidate sets.
-        expected = {"gstar": (2, 7, 1, 0), "naive": (6, 11521, 696, 0)}
+        # literals give 41 clauses of size <= 3, all 41 tried at level 1;
+        # 16 survive, and every set of them passes, so C(16,2) + C(16,3)
+        # sets are tried at levels 2 and 3: 41 + 120 + 560 = 721.  Gstar:
+        # 3 clauses, 1 survivor, and no level 2.
+        expected = {"gstar": (2, 3, 1, 0), "naive": (6, 721, 696, 0)}
         for loader in (shared_base, two_bases):
             pf = loader()
             for pool, counts in expected.items():
@@ -821,3 +827,17 @@ class TestIntroduceCut:
                 pf.grammar,
                 SolverOptions(pool="naive", max_candidates=10),
             )
+
+    def test_cap_counts_the_sets_tried(self):
+        # The pruned search tries 721 sets: a cap of 720 stops it before
+        # the last one, and a cap of 721 lets it end without a solution.
+        from pi2cut.solver import CapExceeded
+
+        pf = two_bases()
+        with pytest.raises(CapExceeded) as info:
+            introduce_cut(pf.problem, pf.grammar, SolverOptions(pool="naive", max_candidates=720))
+        assert info.value.stats.candidates == 720 and info.value.stats.caps_hit
+        with pytest.raises(NoSolutionUnderPool) as info:
+            introduce_cut(pf.problem, pf.grammar, SolverOptions(pool="naive", max_candidates=721))
+        s = info.value.stats
+        assert (s.candidates, s.cl_passed, s.sol_passed, s.caps_hit) == (721, 696, 0, False)
