@@ -306,10 +306,11 @@ def tagged_leaves(
 
 
 def _sat(in_clauses: list[list[int]]) -> bool:
-    """Propositional satisfiability: unit propagation over watched
-    literals, conflict analysis to the first unique implication point with
-    backjumping, and activity-guided decisions.  Variables are positive
-    integers, literals signed."""
+    """Propositional satisfiability by DPLL (Davis, Logemann & Loveland,
+    1962): unit propagation over watched literals, decisions on the lowest
+    open variable, false first, and chronological backtracking that flips
+    the latest decision not yet flipped.  Variables are positive integers,
+    literals signed."""
     db: list[list[int]] = []
     for cl in in_clauses:
         cl = list(dict.fromkeys(cl))
@@ -322,14 +323,10 @@ def _sat(in_clauses: list[list[int]]) -> bool:
         return True
     nvars = max(abs(l) for cl in db for l in cl)
     assign = [0] * (nvars + 1)  # 0 open, +1 true, -1 false
-    level = [0] * (nvars + 1)
-    reason = [-1] * (nvars + 1)
-    activity = [0.0] * (nvars + 1)
     watches: dict[int, list[int]] = {}
     trail: list[int] = []
-    limits: list[int] = []
+    decisions: list[int] = []  # trail index of each decision not yet flipped
     qhead = 0
-    bump = 1.0
 
     def value(lit: int) -> int:
         v = assign[abs(lit)]
@@ -337,12 +334,8 @@ def _sat(in_clauses: list[list[int]]) -> bool:
             return 0
         return 1 if (v > 0) == (lit > 0) else -1
 
-    def enqueue(lit: int, rs: int) -> None:
-        nonlocal trail
-        var = abs(lit)
-        assign[var] = 1 if lit > 0 else -1
-        level[var] = len(limits)
-        reason[var] = rs
+    def enqueue(lit: int) -> None:
+        assign[abs(lit)] = 1 if lit > 0 else -1
         trail.append(lit)
 
     for i, cl in enumerate(db):
@@ -350,12 +343,13 @@ def _sat(in_clauses: list[list[int]]) -> bool:
             if value(cl[0]) == -1:
                 return False
             if value(cl[0]) == 0:
-                enqueue(cl[0], -1)
+                enqueue(cl[0])
         else:
             watches.setdefault(cl[0], []).append(i)
             watches.setdefault(cl[1], []).append(i)
 
-    def propagate() -> int:
+    def propagate() -> bool:
+        """Unit propagation; True on a conflict."""
         nonlocal qhead
         while qhead < len(trail):
             false_lit = -trail[qhead]
@@ -384,87 +378,30 @@ def _sat(in_clauses: list[list[int]]) -> bool:
                     if value(cl[0]) == -1:
                         kept.extend(old[pos:])
                         watches[false_lit] = kept
-                        return ci
-                    enqueue(cl[0], ci)
+                        return True
+                    enqueue(cl[0])
             watches[false_lit] = kept
-        return -1
-
-    def analyze(ci: int) -> tuple[list[int], int]:
-        nonlocal bump
-        seen = set()
-        learned: list[int] = []
-        pending = 0
-        idx = len(trail) - 1
-        current = len(limits)
-        side = db[ci]
-        while True:
-            for l in side:
-                var = abs(l)
-                if var in seen or level[var] == 0:
-                    continue
-                seen.add(var)
-                activity[var] += bump
-                if level[var] == current:
-                    pending += 1
-                else:
-                    learned.append(l)
-            while abs(trail[idx]) not in seen:
-                idx -= 1
-            t = trail[idx]
-            idx -= 1
-            seen.discard(abs(t))
-            pending -= 1
-            if pending == 0:
-                learned.insert(0, -t)
-                break
-            side = [l for l in db[reason[abs(t)]] if l != t]
-        bump *= 1.05
-        if bump > 1e100:
-            for v in range(nvars + 1):
-                activity[v] *= 1e-100
-            bump = 1.0
-        back = 0 if len(learned) == 1 else max(level[abs(l)] for l in learned[1:])
-        return learned, back
-
-    def backjump(to_level: int) -> None:
-        nonlocal qhead
-        while len(limits) > to_level:
-            mark = limits.pop()
-            while len(trail) > mark:
-                var = abs(trail.pop())
-                assign[var] = 0
-                reason[var] = -1
-        qhead = len(trail)
+        return False
 
     while True:
-        conflict = propagate()
-        if conflict != -1:
-            if not limits:
+        if propagate():
+            if not decisions:
                 return False
-            learned, back = analyze(conflict)
-            backjump(back)
-            db.append(learned)
-            nci = len(db) - 1
-            if len(learned) > 1:
-                for k in range(1, len(learned)):
-                    if level[abs(learned[k])] == back:
-                        learned[1], learned[k] = learned[k], learned[1]
-                        break
-                watches.setdefault(learned[0], []).append(nci)
-                watches.setdefault(learned[1], []).append(nci)
-                enqueue(learned[0], nci)
-            else:
-                enqueue(learned[0], -1)
+            # The flipped literal stays on the trail under the decision
+            # before it, and is undone with that one.
+            mark = decisions.pop()
+            lit = trail[mark]
+            for l in trail[mark:]:
+                assign[abs(l)] = 0
+            del trail[mark:]
+            qhead = mark
+            enqueue(-lit)
             continue
-        decision = 0
-        best = -1.0
-        for v in range(1, nvars + 1):
-            if assign[v] == 0 and activity[v] > best:
-                decision, best = v, activity[v]
-        if decision == 0:
+        var = next((v for v in range(1, nvars + 1) if assign[v] == 0), 0)
+        if var == 0:
             return True
-        limits.append(len(trail))
-        enqueue(-decision, -1)
+        decisions.append(len(trail))
+        enqueue(-var)
 
 
 class _Cnf:

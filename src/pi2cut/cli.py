@@ -118,11 +118,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     pf = parse_problem(text)
     if args.pool.startswith("file:"):
         pool: object = parse_starting_set(_read(args.pool[5:]), pf.problem.signature)
-    elif args.pool in ("gstar", "naive"):
-        pool = args.pool
     else:
-        print(f"unknown pool '{args.pool}'", file=sys.stderr)
-        return INPUT_ERROR
+        pool = args.pool
     options = SolverOptions(
         pool=pool,  # type: ignore[arg-type]
         max_clauses=args.max_clauses,

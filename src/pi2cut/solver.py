@@ -473,6 +473,8 @@ class SolverOptions:
     all_solutions: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.pool, str) and self.pool not in ("gstar", "naive"):
+            raise SolverError(f"unknown pool '{self.pool}', expected gstar or naive")
         for name in ("max_clauses", "max_clause_size", "max_candidates"):
             if getattr(self, name) < 0:
                 raise SolverError(f"{name} must not be negative, got {getattr(self, name)}")
@@ -493,10 +495,8 @@ def _starting_clauses(sehs: Sehs, options: SolverOptions, stats: SearchStats) ->
         if options.pool == "gstar":
             pool, unifiable = gstar_pool(sehs)
             stats.unifiable = unifiable
-        elif options.pool == "naive":
-            pool = naive_pool(sehs)
         else:
-            raise SolverError(f"unknown pool: {options.pool}")
+            pool = naive_pool(sehs)
         stats.pool = options.pool
         stats.pool_size = len(pool)
         return clauses_from_pool(pool, options.max_clause_size)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from pi2cut.calculus import (
     WEAK_RULES,
     ComplexityTriple,
     Node,
+    _sat,
     check_proof,
     complexities,
     is_tautology,
@@ -185,6 +187,59 @@ def test_tautology_oracle_equivalence():
         s = random_sequent(rng)
         via_leaves = not non_tautological_leaves(s)
         assert is_tautology(s) == via_leaves
+
+
+def brute_sat(clauses: list[list[int]]) -> bool:
+    """Satisfiability by trying every assignment."""
+    nvars = max((abs(l) for cl in clauses for l in cl), default=0)
+    return any(
+        all(any((l > 0) == bits[abs(l) - 1] for l in cl) for cl in clauses)
+        for bits in itertools.product((False, True), repeat=nvars)
+    )
+
+
+def pigeonhole(pigeons: int, holes: int) -> list[list[int]]:
+    """Every pigeon in some hole, no hole with two pigeons; variable
+    p * holes + h + 1 puts pigeon p in hole h."""
+
+    def var(p: int, h: int) -> int:
+        return p * holes + h + 1
+
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p, q in itertools.combinations(range(pigeons), 2):
+            clauses.append([-var(p, h), -var(q, h)])
+    return clauses
+
+
+class TestSat:
+    def test_random_cnfs_match_brute_force(self):
+        # One clause width per instance, repeated and complementary
+        # literals allowed: 2,649 of the 4,000 are satisfiable, and 482
+        # need a decision flipped, unlike almost every call the solver
+        # gets from is_tautology.
+        rng = random.Random(63_000)
+        verdicts = []
+        for _ in range(4000):
+            nvars, width = rng.randint(1, 9), rng.randint(1, 4)
+            clauses = [
+                [rng.choice((1, -1)) * rng.randint(1, nvars) for _ in range(width)]
+                for _ in range(rng.randint(1, 5 * nvars))
+            ]
+            expected = brute_sat(clauses)
+            assert _sat(clauses) == expected, clauses
+            verdicts.append(expected)
+        assert 1000 < sum(verdicts) < 3000
+
+    @pytest.mark.parametrize("pigeons", [4, 5])
+    def test_pigeonhole_is_unsatisfiable(self, pigeons):
+        assert not _sat(pigeonhole(pigeons, pigeons - 1))
+        assert _sat(pigeonhole(pigeons, pigeons))
+
+    def test_no_clauses_and_the_empty_clause(self):
+        assert _sat([])
+        assert not _sat([[]])
+        assert not _sat([[1, 2], [], [-1]])
 
 
 class TestCheckProof:

@@ -33,6 +33,12 @@ class TestSolve:
     def test_bad_pool_exit_two(self, capsys):
         assert main(["solve", TWO_STEP, "--pool", "wat"]) == 2
 
+    def test_unknown_pool_is_an_input_error(self, capsys):
+        assert main(["solve", TWO_STEP, "--pool", "foo"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown pool 'foo'")
+
     def test_json_output(self, capsys):
         assert main(["solve", TWO_STEP, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

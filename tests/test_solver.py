@@ -828,6 +828,10 @@ class TestIntroduceCut:
                 SolverOptions(pool="naive", max_candidates=10),
             )
 
+    def test_unknown_pool_is_rejected(self):
+        with pytest.raises(SolverError, match="unknown pool 'foo'"):
+            SolverOptions(pool="foo")
+
     def test_cap_counts_the_sets_tried(self):
         # The pruned search tries 721 sets: a cap of 720 stops it before
         # the last one, and a cap of 721 lets it end without a solution.
