@@ -4,8 +4,8 @@ One table holds all twelve inference rules, the eight propositional and
 the four quantifier ones.  The propositional kernel (exhaustive invertible
 decomposition), the proof builder, the rule-by-rule proof checker and the
 proof reader all read it.  Also here: tautology decision by CNF
-translation plus DPLL, full proof trees with cut, and the three
-proof-complexity measures.
+translation plus a clause-learning SAT core, full proof trees with cut,
+and the three proof-complexity measures.
 
 Sequent sides are sets; the axiom rule closes any sequent whose sides
 share an atom, so weakening never appears explicitly.
@@ -59,9 +59,6 @@ STRONG_RULES = (FORALL_R, EXISTS_L)
 
 LEFT = "left"
 RIGHT = "right"
-
-ORIGIN_END = "end"
-ORIGIN_CUT = "cut"
 
 
 @dataclass(frozen=True)
@@ -142,20 +139,15 @@ _RULES: dict[tuple[str, type], tuple[str, Callable[[Formula, Term | None], tuple
 RULES = frozenset({AXIOM, NON_TAUT_LEAF, CUT}.union(label for label, _ in _RULES.values()))
 
 
-def _rule(side: str, f: Formula, term: Term | None = None) -> tuple[str, tuple[_Added, ...]]:
-    entry = _RULES.get((side, type(f)))
-    if entry is None:
-        raise SyntaxError_(f"cannot decompose {formula_to_sexp(f)} on the {side}")
-    label, added = entry
-    return label, added(f, term)
-
-
 def premises_of(
     s: Sequent, side: str, f: Formula, term: Term | None = None, keep: bool = False
 ) -> tuple[str, tuple[Sequent, ...]]:
     """Rule label and premises for decomposing `f` on `side` of `s`, a
     quantifier at `term`.  A weak rule with `keep` leaves `f` in place."""
-    label, added = _rule(side, f, term)
+    entry = _RULES.get((side, type(f)))
+    if entry is None:
+        raise SyntaxError_(f"cannot decompose {formula_to_sexp(f)} on the {side}")
+    label, added = entry
     if keep and label in WEAK_RULES:
         left, right = s.left, s.right
     elif side == LEFT:
@@ -164,7 +156,7 @@ def premises_of(
         left, right = s.left, s.right - {f}
     return label, tuple(
         Sequent(left.union(l_add) if l_add else left, right.union(r_add) if r_add else right)
-        for l_add, r_add in added
+        for l_add, r_add in added(f, term)
     )
 
 
@@ -261,44 +253,33 @@ def non_tautological_leaves(s: Sequent) -> frozenset[Sequent]:
     return frozenset(out)
 
 
-# Tagged variant: which closing atoms of a derivation descend from a
-# designated root formula.  It is the reference definition of balance;
-# `solver.is_balanced` reads the same verdict from the leaf sequents
-# through the solver's one literal-to-leaves index, and the tests compare
-# the two.  A sequent side becomes a mapping formula -> origin; when
-# decomposition merges two occurrences the tag "end" wins (such an
-# occurrence has a non-cut ancestor).
+# Ancestry: which formulas of a derivation descend from the end sequent.
+# It is the reference definition of balance; `solver.is_balanced` reads
+# the same verdict from the leaf sequents through the solver's one
+# literal-to-leaves index, and the tests compare the two.
 
 
-def _merge(tags: dict[Formula, str], f: Formula, tag: str) -> None:
-    old = tags.get(f)
-    tags[f] = ORIGIN_END if ORIGIN_END in (old, tag) else ORIGIN_CUT
+def tagged_leaves(s: Sequent, end: Sequent) -> Iterator[tuple[Sequent, Sequent]]:
+    """The leaves of `maximal_derivation(s)`, in its order, each with its
+    end part: the formulas with an ancestor in `end`, a subsequent of `s`.
 
-
-def tagged_leaves(
-    left: dict[Formula, str], right: dict[Formula, str]
-) -> Iterator[tuple[dict[Formula, str], dict[Formula, str]]]:
-    """The leaves of `maximal_derivation`, in its order, with every formula
-    tagged: a formula a rule adds takes the tag of the rule's principal."""
-    stack = [(left, right)]
+    A rule whose principal formula is in the end part decomposes the end
+    part alike; any other rule leaves it as it is, so a formula the rule
+    adds belongs to the end part only if it already did."""
+    stack = [(s, end)]
     while stack:
-        left, right = stack.pop()
-        cands = _candidates(left, right)
+        seq, part = stack.pop()
+        cands = _candidates(seq.left, seq.right)
         if not cands:
-            yield left, right
+            yield seq, part
             continue
         side, f = cands[0]
-        tag = (left if side == LEFT else right)[f]
-        premises = []
-        for l_add, r_add in _rule(side, f)[1]:
-            nl, nr = dict(left), dict(right)
-            del (nl if side == LEFT else nr)[f]
-            for g in l_add:
-                _merge(nl, g, tag)
-            for g in r_add:
-                _merge(nr, g, tag)
-            premises.append((nl, nr))
-        stack.extend(reversed(premises))
+        premises = premises_of(seq, side, f)[1]
+        if f in (part.left if side == LEFT else part.right):
+            parts = premises_of(part, side, f)[1]
+        else:
+            parts = (part,) * len(premises)
+        stack.extend(reversed(list(zip(premises, parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +287,10 @@ def tagged_leaves(
 
 
 def _sat(in_clauses: list[list[int]]) -> bool:
-    """Propositional satisfiability by DPLL (Davis, Logemann & Loveland,
-    1962): unit propagation over watched literals, decisions on the lowest
-    open variable, false first, and chronological backtracking that flips
-    the latest decision not yet flipped.  Variables are positive integers,
+    """Propositional satisfiability: unit propagation over watched
+    literals, conflict analysis to the first unique implication point with
+    backjumping (Marques-Silva & Sakallah, 1999), and decisions on the
+    lowest open variable, false first.  Variables are positive integers,
     literals signed."""
     db: list[list[int]] = []
     for cl in in_clauses:
@@ -323,9 +304,11 @@ def _sat(in_clauses: list[list[int]]) -> bool:
         return True
     nvars = max(abs(l) for cl in db for l in cl)
     assign = [0] * (nvars + 1)  # 0 open, +1 true, -1 false
+    level = [0] * (nvars + 1)
+    reason = [-1] * (nvars + 1)  # the clause that forced the variable
     watches: dict[int, list[int]] = {}
     trail: list[int] = []
-    decisions: list[int] = []  # trail index of each decision not yet flipped
+    limits: list[int] = []  # trail index of each decision
     qhead = 0
 
     def value(lit: int) -> int:
@@ -334,8 +317,11 @@ def _sat(in_clauses: list[list[int]]) -> bool:
             return 0
         return 1 if (v > 0) == (lit > 0) else -1
 
-    def enqueue(lit: int) -> None:
-        assign[abs(lit)] = 1 if lit > 0 else -1
+    def enqueue(lit: int, ci: int) -> None:
+        var = abs(lit)
+        assign[var] = 1 if lit > 0 else -1
+        level[var] = len(limits)
+        reason[var] = ci
         trail.append(lit)
 
     for i, cl in enumerate(db):
@@ -343,13 +329,13 @@ def _sat(in_clauses: list[list[int]]) -> bool:
             if value(cl[0]) == -1:
                 return False
             if value(cl[0]) == 0:
-                enqueue(cl[0])
+                enqueue(cl[0], i)
         else:
             watches.setdefault(cl[0], []).append(i)
             watches.setdefault(cl[1], []).append(i)
 
-    def propagate() -> bool:
-        """Unit propagation; True on a conflict."""
+    def propagate() -> int:
+        """Unit propagation; the index of a falsified clause, or -1."""
         nonlocal qhead
         while qhead < len(trail):
             false_lit = -trail[qhead]
@@ -378,30 +364,70 @@ def _sat(in_clauses: list[list[int]]) -> bool:
                     if value(cl[0]) == -1:
                         kept.extend(old[pos:])
                         watches[false_lit] = kept
-                        return True
-                    enqueue(cl[0])
+                        return ci
+                    enqueue(cl[0], ci)
             watches[false_lit] = kept
-        return False
+        return -1
+
+    def analyze(ci: int) -> list[int]:
+        """The clause learned from falsified clause `ci`: resolve back
+        along the trail until one literal of the current level is left.
+        That literal comes first, then one of the highest level below."""
+        seen = set()
+        learned = [0]
+        pending = 0
+        idx = len(trail) - 1
+        side = db[ci]
+        while True:
+            for l in side:
+                var = abs(l)
+                if var in seen or level[var] == 0:
+                    continue
+                seen.add(var)
+                if level[var] == len(limits):
+                    pending += 1
+                else:
+                    learned.append(l)
+            while abs(trail[idx]) not in seen:
+                idx -= 1
+            t = trail[idx]
+            idx -= 1
+            pending -= 1
+            if pending == 0:
+                learned[0] = -t
+                break
+            side = [l for l in db[reason[abs(t)]] if l != t]
+        if len(learned) > 1:
+            k = max(range(1, len(learned)), key=lambda i: level[abs(learned[i])])
+            learned[1], learned[k] = learned[k], learned[1]
+        return learned
 
     while True:
-        if propagate():
-            if not decisions:
+        ci = propagate()
+        if ci != -1:
+            if not limits:
                 return False
-            # The flipped literal stays on the trail under the decision
-            # before it, and is undone with that one.
-            mark = decisions.pop()
-            lit = trail[mark]
+            learned = analyze(ci)
+            # Undo every level above the highest one below the conflict's:
+            # there the learned clause forces its first literal.
+            back = level[abs(learned[1])] if len(learned) > 1 else 0
+            mark = limits[back]
+            del limits[back:]
             for l in trail[mark:]:
                 assign[abs(l)] = 0
             del trail[mark:]
             qhead = mark
-            enqueue(-lit)
+            db.append(learned)
+            if len(learned) > 1:
+                watches.setdefault(learned[0], []).append(len(db) - 1)
+                watches.setdefault(learned[1], []).append(len(db) - 1)
+            enqueue(learned[0], len(db) - 1)
             continue
         var = next((v for v in range(1, nvars + 1) if assign[v] == 0), 0)
         if var == 0:
             return True
-        decisions.append(len(trail))
-        enqueue(-var)
+        limits.append(len(trail))
+        enqueue(-var, -1)
 
 
 class _Cnf:

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .benchmark import (
     BenchmarkError,
@@ -43,15 +44,28 @@ INPUT_ERROR = 2
 CHECK_ERROR = 3
 
 
-class _Unreadable(Exception):
-    """An input file that cannot be read as UTF-8 text."""
+T = TypeVar("T")
+
+
+class _BadFile(Exception):
+    """An input file that cannot be read as UTF-8 text or is malformed."""
 
 
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
-        raise _Unreadable(f"{path}: {getattr(e, 'strerror', None) or e}") from None
+        raise _BadFile(f"{path}: {getattr(e, 'strerror', None) or e}") from None
+
+
+def _parse(path: str, parse: Callable[..., T], *args: object) -> T:
+    """`parse` applied to the text of the file at `path`; a parse error is
+    reported at `path:line:col`."""
+    text = _read(path)
+    try:
+        return parse(text, *args)
+    except ParseError as e:
+        raise _BadFile(f"{path}:{e}") from None
 
 
 def _stats_rows(stats: SearchStats) -> list[tuple[str, str]]:
@@ -114,10 +128,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.verify and not args.emit_proof:
         print("error: --verify checks the emitted proof and needs --emit-proof", file=sys.stderr)
         return INPUT_ERROR
-    text = _read(args.file)
-    pf = parse_problem(text)
+    pf = _parse(args.file, parse_problem)
     if args.pool.startswith("file:"):
-        pool: object = parse_starting_set(_read(args.pool[5:]), pf.problem.signature)
+        pool: object = _parse(args.pool[5:], parse_starting_set, pf.problem.signature)
     else:
         pool = args.pool
     options = SolverOptions(
@@ -153,7 +166,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    root, _sig = parse_proof(_read(args.proof))
+    root, _sig = _parse(args.proof, parse_proof)
     verdict = check_proof(root)
     triple = complexities(root) if verdict.ok else None
     rows = [("status", "ok" if verdict.ok else "invalid")]
@@ -173,7 +186,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_language(args: argparse.Namespace) -> int:
-    pf = parse_problem(_read(args.file))
+    pf = _parse(args.file, parse_problem)
     language = rigid_language(pf.grammar)
     print("\n".join(language.wrapped_terms()))
     if pf.herbrand_terms is not None:
@@ -245,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failure: {e}", file=sys.stderr)
         return CHECK_ERROR
     except (ParseError, SyntaxError_, GrammarError, BenchmarkError, SolverError,
-            _Unreadable) as e:
+            _BadFile) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except RecursionError:

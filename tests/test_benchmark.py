@@ -39,7 +39,10 @@ class TestGenerateSn:
 
 
 class TestMinimalCutfree:
-    @pytest.mark.parametrize("n", [2, 3])
+    # n = 4 is the one query here that needs clause learning: its
+    # instance sequent encodes to 1,461 clauses, which plain DPLL did not
+    # decide in 19 minutes.
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_valid_and_above_bound(self, n):
         _, valid, count = minimal_cutfree_instances(n)
         assert valid
@@ -48,7 +51,8 @@ class TestMinimalCutfree:
     def test_counts(self):
         _, _, c2 = minimal_cutfree_instances(2)
         _, _, c3 = minimal_cutfree_instances(3)
-        assert (c2, c3) == (10, 43)
+        _, _, c4 = minimal_cutfree_instances(4)
+        assert (c2, c3, c4) == (10, 43, 276)
 
     def test_grammar_covers_instances(self):
         for n in (2, 3):

@@ -21,6 +21,8 @@ from pi2cut.calculus import (
     WEAK_RULES,
     ComplexityTriple,
     Node,
+    _RULES,
+    _candidates,
     _sat,
     check_proof,
     complexities,
@@ -643,6 +645,31 @@ class TestComplexities:
         assert t.quantifier <= t.logical <= t.symbols
 
 
+def reference_tagged_leaves(left, right):
+    """The leaves of `maximal_derivation` with every formula tagged "end"
+    or "cut", sides as dicts: a formula a rule adds takes the tag of the
+    rule's principal, and when it merges with an occurrence already there,
+    "end" wins (that occurrence has an end-sequent ancestor)."""
+    stack = [(left, right)]
+    while stack:
+        left, right = stack.pop()
+        cands = _candidates(left, right)
+        if not cands:
+            yield left, right
+            continue
+        side, f = cands[0]
+        tag = (left if side == LEFT else right)[f]
+        premises = []
+        for l_add, r_add in _RULES[side, type(f)][1](f, None):
+            nl, nr = dict(left), dict(right)
+            del (nl if side == LEFT else nr)[f]
+            for tags, added in ((nl, l_add), (nr, r_add)):
+                for g in added:
+                    tags[g] = "end" if "end" in (tags.get(g), tag) else "cut"
+            premises.append((nl, nr))
+        stack.extend(reversed(premises))
+
+
 class TestAncestry:
     def test_cut_and_end_origins(self):
         from pi2cut.herbrand import ExtendedHerbrandSequent
@@ -650,17 +677,45 @@ class TestAncestry:
 
         pf = two_step()
         eh = ExtendedHerbrandSequent(pf.problem, pf.grammar, P(Var(X), Var(Y)))
-        mid = eh.instance_sequent()
-        (bridge,) = eh.sequent().left - mid.left
-        left = dict.fromkeys(mid.left, "end")
-        left[bridge] = "cut"
-        leaves = list(tagged_leaves(left, dict.fromkeys(mid.right, "end")))
+        leaves = list(tagged_leaves(eh.sequent(), eh.instance_sequent()))
         alpha = Var(ALPHA)
         p1, p2 = (P(alpha, App(t, (alpha,))) for t in ("t1", "t2"))
         # The F instance puts P(alpha, t1 alpha) on the left; only the
         # bridge's alpha side puts P(alpha, t2 alpha) on the right.
-        tagged = [(l[p1], r[p2]) for l, r in leaves if p1 in l and p2 in r and p2 not in l]
+        tagged = [
+            ("end" if p1 in end.left else "cut", "end" if p2 in end.right else "cut")
+            for leaf, end in leaves
+            if p1 in leaf.left and p2 in leaf.right and p2 not in leaf.left
+        ]
         assert tagged and set(tagged) == {("end", "cut")}
+
+    def test_end_parts_match_the_tag_dictionaries(self):
+        # The sequents of acceptance criterion 09, each with a seeded
+        # random end part.
+        rng, pick = random.Random(60_000), random.Random(64_000)
+        total = 0
+        for i in range(1000):
+            s = random_sequent(rng)
+            end = Sequent.of(
+                [f for f in s.left if pick.random() < 0.5],
+                [f for f in s.right if pick.random() < 0.5],
+            )
+            walk = list(tagged_leaves(s, end))
+            expected = []
+            for left, right in reference_tagged_leaves(
+                {f: "end" if f in end.left else "cut" for f in s.left},
+                {f: "end" if f in end.right else "cut" for f in s.right},
+            ):
+                leaf = Sequent.of(left, right)
+                part = Sequent.of(
+                    [f for f, tag in left.items() if tag == "end"],
+                    [f for f, tag in right.items() if tag == "end"],
+                )
+                expected.append((leaf, part))
+            assert walk == expected, f"case {i}"
+            assert [leaf for leaf, _ in walk] == [n.sequent for n in maximal_derivation(s).leaves()]
+            total += len(walk)
+        assert total == 3767
 
 
 class TestTreeWalks:

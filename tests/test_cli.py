@@ -182,6 +182,26 @@ def test_unreadable_input_exit_two(tmp_path, capsys, argv):
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "name, text, argv, where",
+    [
+        (
+            "bad.txt",
+            "(P x y)\n(Z x)\n",
+            ["solve", TWO_STEP, "--pool", "file:{}"],
+            "2:1: unknown predicate symbol 'Z'",
+        ),
+        ("bad.p2", "(signature)\n(bogus)\n", ["solve", "{}"], "2:1: unknown section 'bogus'"),
+    ],
+)
+def test_parse_error_names_its_file(tmp_path, capsys, name, text, argv, where):
+    # A solve reads two files, so the message names the one at fault.
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([arg.format(path) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{where}\n"
+
+
 class TestCheck:
     def test_tampered_proof_fails(self, tmp_path, capsys):
         out_file = tmp_path / "proof.sexp"

@@ -165,7 +165,7 @@ class TestProblemFiles:
         bad = tmp_path / "bad"
         bad.write_text(bad_text, encoding="utf-8")
         assert main([command, str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}:{where}: {message}\n"
 
     def test_unknown_symbol(self):
         pf_text = (PROBLEM_DIR / "two_step.p2").read_text()
@@ -219,7 +219,7 @@ class TestProblemFiles:
             parse_problem(pf_text.replace(old, new))
         assert str(err.value) == message
         assert main(["solve", str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}:{message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "language"])
     @pytest.mark.parametrize(
@@ -246,7 +246,7 @@ class TestProblemFiles:
         bad = tmp_path / "bad.p2"
         bad.write_text(pf_text.replace(old, new, 1))
         assert main([command, str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}:{message}\n"
 
     def test_misspelled_section_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.p2"

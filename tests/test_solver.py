@@ -18,12 +18,11 @@ from fixtures import (
     y,
 )
 from gen import random_sehs, random_starting_set
-from pi2cut.calculus import ORIGIN_CUT, ORIGIN_END, is_tautology, tagged_leaves
+from pi2cut.calculus import is_tautology, tagged_leaves
 from pi2cut.grammar import GStarSystem, HerbrandInstanceSet, reachable_literals
 from pi2cut.herbrand import (
     ExtendedHerbrandSequent,
     NotTautological,
-    cut_instances,
     proof_from_eh,
 )
 from pi2cut.problem_io import print_sequent
@@ -49,7 +48,6 @@ from pi2cut.syntax import (
     ALPHA,
     App,
     Atom,
-    Imp,
     Sequent,
     SyntaxError_,
     Var,
@@ -57,9 +55,7 @@ from pi2cut.syntax import (
     Y,
     beta,
     clause_key,
-    conj,
     const,
-    disj,
     dnf_of,
     dual,
     free_vars,
@@ -555,20 +551,16 @@ class TestClauseSets:
 
 def walk_verdict(sehs, clauses):
     """Balance by its definition: walk every leaf of the solved sequent with
-    the bridge tagged cut.  None when a leaf stays open (not a solution)."""
+    the end sequent's formulas as its end part, so that the bridge is not
+    in it unless an end formula has its shape.  None when a leaf stays
+    open (not a solution)."""
     eh = ExtendedHerbrandSequent(sehs.problem, sehs.grammar, dnf_of(clauses))
-    alphas, betas = cut_instances(eh.cut_matrix, eh.grammar)
-    mid = eh.instance_sequent()
-    left = dict.fromkeys(mid.left, ORIGIN_END)
-    # An end formula of the same shape as the bridge keeps its end tag.
-    left.setdefault(Imp(disj(alphas), conj(betas)), ORIGIN_CUT)
-    right = dict.fromkeys(mid.right, ORIGIN_END)
     verdict = True
-    for l_tags, r_tags in tagged_leaves(left, right):
-        shared = [a for a in l_tags if isinstance(a, Atom) and a in r_tags]
+    for leaf, end in tagged_leaves(eh.sequent(), eh.instance_sequent()):
+        shared = leaf.left & leaf.right
         if not shared:
             return None
-        if all(l_tags[a] == r_tags[a] == ORIGIN_CUT for a in shared):
+        if not shared & (end.left | end.right):
             verdict = False
     return verdict
 
@@ -606,19 +598,14 @@ class TestVerifyAndBalance:
 
     def test_tagged_walk_follows_the_maximal_derivation(self):
         from pi2cut.benchmark import generate_sn
-        from pi2cut.calculus import ORIGIN_END, maximal_derivation, tagged_leaves
+        from pi2cut.calculus import maximal_derivation
 
         for pf in (generate_sn(3), unbalanced_pair()):
             s = introduce_cut(pf.problem, pf.grammar).eh.sequent()
-            tagged = [
-                (frozenset(l), frozenset(r))
-                for l, r in tagged_leaves(
-                    dict.fromkeys(s.left, ORIGIN_END), dict.fromkeys(s.right, ORIGIN_END)
-                )
-            ]
-            leaves = [(n.sequent.left, n.sequent.right) for n in maximal_derivation(s).leaves()]
+            tagged = list(tagged_leaves(s, s))
+            leaves = [n.sequent for n in maximal_derivation(s).leaves()]
             assert len(leaves) > 1
-            assert tagged == leaves
+            assert tagged == [(leaf, leaf) for leaf in leaves]
 
     def test_balance_agrees_with_the_tagged_walk(self):
         from pi2cut.benchmark import generate_sn
