@@ -3,7 +3,8 @@
 One table holds all twelve inference rules, the eight propositional and
 the four quantifier ones.  The propositional kernel (exhaustive invertible
 decomposition), the proof builder, the rule-by-rule proof checker and the
-proof reader all read it.  Also here: tautology decision by CNF
+proof printer and reader all read it, the last three through the premise
+sequents a node's rule data fixes.  Also here: tautology decision by CNF
 translation plus a clause-learning SAT core, full proof trees with cut,
 and the three proof-complexity measures.
 
@@ -517,6 +518,40 @@ def _stray_field(n: Node) -> str | None:
     return None
 
 
+def premise_sequents(n: Node, count: int) -> tuple[Sequent, ...] | str:
+    """The premise sequents that the rule data of `n` fixes, given that it
+    has `count` premises: its rule, conclusion, principal formula and
+    side, witness or eigenvariable, and `keep`.  Where they are not fixed,
+    the reason: a leaf or a cut, a missing principal or term, a principal
+    that is not in the conclusion or does not fit the rule, or a premise
+    count other than the rule's.  The checker compares a node's premises
+    with these, and a proof file leaves out the premise sequents they give."""
+    if n.rule in (AXIOM, NON_TAUT_LEAF):
+        return f"{n.rule} has no premises"
+    if n.rule == CUT:
+        return "cut premises are not fixed by the cut formula"
+    f = n.principal
+    if f is None or n.side not in (LEFT, RIGHT):
+        return f"{n.rule} needs a principal formula and side"
+    if f not in (n.sequent.left if n.side == LEFT else n.sequent.right):
+        return "principal formula not in the conclusion"
+    # A strong rule's term is its eigenvariable, a weak rule's its witness.
+    term = n.witness
+    if n.rule in STRONG_RULES:
+        if n.eigen is None:
+            return f"{n.rule} needs an eigenvariable"
+        term = Var(n.eigen)
+    try:
+        rule, premises = premises_of(n.sequent, n.side, f, term, n.keep)
+    except SyntaxError_ as e:
+        return str(e)
+    if rule != n.rule:
+        return f"rule {n.rule} does not fit principal {formula_to_sexp(f)}"
+    if count != len(premises):
+        return f"{n.rule} needs {len(premises)} premises"
+    return premises
+
+
 def _check_node(n: Node, path: tuple[int, ...]) -> CheckReport:
     s = n.sequent
     stray = _stray_field(n)
@@ -545,31 +580,13 @@ def _check_node(n: Node, path: tuple[int, ...]) -> CheckReport:
             return _fail(path, "right cut premise has formulas outside the conclusion")
         return CheckReport(True)
 
-    if n.principal is None or n.side not in (LEFT, RIGHT):
-        return _fail(path, f"{n.rule} needs a principal formula and side")
-    f = n.principal
-    here = s.left if n.side == LEFT else s.right
-    if f not in here:
-        return _fail(path, "principal formula not in the conclusion")
-
-    # A strong rule's term is its eigenvariable, a weak rule's its witness.
-    term = n.witness
-    if n.rule in STRONG_RULES:
-        if n.eigen is None:
-            return _fail(path, f"{n.rule} needs an eigenvariable")
-        if any(n.eigen in free_vars(g) for g in s.left | s.right):
-            return _fail(path, f"eigenvariable {n.eigen} occurs in the conclusion")
-        term = Var(n.eigen)
-    try:
-        rule, want_seqs = premises_of(s, n.side, f, term, n.keep)
-    except SyntaxError_ as e:
-        return _fail(path, str(e))
-    if rule != n.rule:
-        return _fail(path, f"rule {n.rule} does not fit principal {formula_to_sexp(f)}")
-    if len(n.premises) != len(want_seqs):
-        return _fail(path, f"{n.rule} needs {len(want_seqs)} premises")
+    want = premise_sequents(n, len(n.premises))
+    if isinstance(want, str):
+        return _fail(path, want)
+    if n.rule in STRONG_RULES and any(n.eigen in free_vars(g) for g in s.left | s.right):
+        return _fail(path, f"eigenvariable {n.eigen} occurs in the conclusion")
     got = tuple(p.sequent for p in n.premises)
-    if got != want_seqs and set(got) != set(want_seqs):
+    if got != want and set(got) != set(want):
         return _fail(path, f"{n.rule} premises do not match the rule schema")
     return CheckReport(True)
 

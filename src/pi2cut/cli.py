@@ -60,12 +60,15 @@ def _read(path: str) -> str:
 
 def _parse(path: str, parse: Callable[..., T], *args: object) -> T:
     """`parse` applied to the text of the file at `path`; a parse error is
-    reported at `path:line:col`."""
+    reported at `path:line:col`, input nested too deeply at `path`."""
     text = _read(path)
     try:
         return parse(text, *args)
     except ParseError as e:
         raise _BadFile(f"{path}:{e}") from None
+    except RecursionError:
+        # Formulas are read recursively; no depth cap is set.
+        raise _BadFile(f"{path}: input nested too deeply") from None
 
 
 def _stats_rows(stats: SearchStats) -> list[tuple[str, str]]:
@@ -262,8 +265,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except RecursionError:
-        # Formulas and terms are read and printed recursively (proof trees
-        # are walked with explicit stacks); no depth cap is set.
+        # Formulas and terms are printed and rewritten recursively; no
+        # depth cap is set.  `_parse` reports a file nested too deeply.
         print("error: input nested too deeply", file=sys.stderr)
         return INPUT_ERROR
 

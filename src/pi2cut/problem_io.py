@@ -5,6 +5,15 @@ matrices, the grammar section (instance tuples and witness terms) and an
 optional block of wrapped instantiation terms.  All terms and formulas
 use the canonical s-expression syntax; printing and parsing round-trip
 bit-exactly after one normalisation.
+
+A proof file holds the signature and the proof tree.  Every node carries
+its rule data: rule, principal formula and side, witness, eigenvariable,
+`keep` and cut formula, as the rule needs.  Its sequent is written only
+for the root and for a premise whose sequent the rule data of its
+conclusion does not fix (`calculus.premise_sequents`), such as a cut's
+premises; the reader rebuilds every other one.  A file that writes more
+sequents, every one even, reads to the same tree, and the checker
+compares a written premise sequent with the rule as before.
 """
 
 from __future__ import annotations
@@ -59,28 +68,43 @@ class ProblemFile:
 
 
 def parse_term(node: SNode, sig: Signature, variables: set[str] | None) -> Term:
-    """`variables` of None admits any non-function identifier as a variable."""
-    if isinstance(node, SAtom):
-        name = node.value
-        if name in sig.functions:
-            if sig.functions[name] != 0:
-                raise ParseError(f"{name} expects arguments", node.line, node.col)
-            return App(name, ())
-        if variables is None or name in variables:
-            return Var(name)
-        raise ParseError(f"unknown identifier '{name}'", node.line, node.col)
-    if not node.items:
-        raise ParseError("empty term", node.line, node.col)
-    head = expect_atom(node.items[0], "function symbol")
-    arity = sig.functions.get(head.value)
-    if arity is None:
-        raise ParseError(f"unknown function symbol '{head.value}'", head.line, head.col)
-    args = tuple(parse_term(a, sig, variables) for a in node.items[1:])
-    if len(args) != arity:
-        raise ParseError(
-            f"{head.value} expects {arity} arguments, got {len(args)}", head.line, head.col
-        )
-    return App(head.value, args)
+    """`variables` of None admits any non-function identifier as a variable.
+    Read with an explicit stack, so that deeply nested terms (a long
+    successor chain, say) do not exhaust the call stack; an application
+    is built once all its arguments are."""
+    built: list[Term] = []
+    stack: list[SNode | tuple[SAtom, int, int]] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            head, arity, count = item
+            if count != arity:
+                msg = f"{head.value} expects {arity} arguments, got {count}"
+                raise ParseError(msg, head.line, head.col)
+            args = tuple(built[len(built) - count :])
+            del built[len(built) - count :]
+            built.append(App(head.value, args))
+        elif isinstance(item, SAtom):
+            name = item.value
+            if name in sig.functions:
+                if sig.functions[name] != 0:
+                    raise ParseError(f"{name} expects arguments", item.line, item.col)
+                built.append(App(name, ()))
+            elif variables is None or name in variables:
+                built.append(Var(name))
+            else:
+                raise ParseError(f"unknown identifier '{name}'", item.line, item.col)
+        else:
+            if not item.items:
+                raise ParseError("empty term", item.line, item.col)
+            head = expect_atom(item.items[0], "function symbol")
+            arity = sig.functions.get(head.value)
+            if arity is None:
+                raise ParseError(f"unknown function symbol '{head.value}'", head.line, head.col)
+            args = item.items[1:]
+            stack.append((head, arity, len(args)))
+            stack.extend(reversed(args))
+    return built[0]
 
 
 _CONNECTIVES = {"and": And, "or": Or, "imp": Imp}
@@ -342,15 +366,17 @@ _INDENT_DEPTH = 128
 
 def _print_node(root: Node, indent: int) -> list[str]:
     """The lines of a proof tree, walked with an explicit stack so that
-    deep proofs do not exhaust the call stack."""
+    deep proofs do not exhaust the call stack.  The root's sequent is
+    written; a premise's only where the rule data of its parent does not
+    fix it (`calculus.premise_sequents`), as under a cut."""
     lines: list[str] = []
-    stack: list[tuple[Node, int] | str] = [(root, 0)]
+    stack: list[tuple[Node, int, bool] | str] = [(root, 0, True)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             lines.append(item)
             continue
-        n, depth = item
+        n, depth, written = item
         pad = "  " * (indent + 2 * min(depth, _INDENT_DEPTH))
         lines.append(f"{pad}(node (rule {n.rule})")
         if n.principal is not None:
@@ -363,17 +389,23 @@ def _print_node(root: Node, indent: int) -> list[str]:
             lines.append(f"{pad}  (keep)")
         if n.cut_formula is not None:
             lines.append(f"{pad}  (cut-formula {formula_to_sexp(n.cut_formula)})")
-        lines.append(f"{pad}  {print_sequent(n.sequent)}")
+        if written:
+            lines.append(f"{pad}  {print_sequent(n.sequent)}")
         if n.premises:
             lines.append(f"{pad}  (premises")
             stack += (f"{pad})", f"{pad}  )")
-            stack.extend((p, depth + 1) for p in reversed(n.premises))
+            fixed = calculus.premise_sequents(n, len(n.premises))
+            for i in reversed(range(len(n.premises))):
+                p = n.premises[i]
+                stack.append((p, depth + 1, isinstance(fixed, str) or fixed[i] != p.sequent))
         else:
             lines.append(f"{pad})")
     return lines
 
 
 def print_proof(root: Node, sig: Signature) -> str:
+    """The proof file of `root`: the signature, then the tree, with the
+    sequents laid out as `_print_node` says."""
     lines = ["(proof", *_print_signature(sig, "  ")]
     lines.extend(_print_node(root, 1))
     lines.append(")")
@@ -404,25 +436,30 @@ def _proof_formula(node: SNode, sig: Signature, memo: dict[str, Formula]) -> For
 def _read_node(
     node: SNode, sig: Signature, memo: dict[str, Formula]
 ) -> tuple[dict[str, object], tuple[SNode, ...]]:
-    """The fields of one proof node, and the forms of its premises."""
+    """The fields of one proof node, its sequent None if it has none, and
+    the forms of its premises."""
     lst = expect_list(node, "proof node")
     if head_of(lst, "node") != "node":
         raise ParseError("expected (node ...)", lst.line, lst.col)
     parts = _named_lists(lst.items[1:], "node part", _NODE_PARTS)
-    if "rule" not in parts or "sequent" not in parts:
-        raise ParseError("node needs a rule and a sequent", lst.line, lst.col)
+    if "rule" not in parts:
+        raise ParseError("node needs a rule", lst.line, lst.col)
     rule = expect_atom(parts["rule"].items[1], "rule name").value
     if rule not in calculus.RULES:
         raise ParseError(f"unknown rule '{rule}'", parts["rule"].line, parts["rule"].col)
-    principal, witness, eigen, cut = map(parts.get, ("principal", "witness", "eigen", "cut-formula"))
-    sides = _named_lists(parts["sequent"].items[1:], "sequent side", _SIDES)
-    left, right = sides.get(calculus.LEFT), sides.get(calculus.RIGHT)
-    fields = dict(
-        rule=rule,
-        sequent=Sequent.of(
+    principal, witness, eigen, cut, sequent = map(
+        parts.get, ("principal", "witness", "eigen", "cut-formula", "sequent")
+    )
+    if sequent is not None:
+        sides = _named_lists(sequent.items[1:], "sequent side", _SIDES)
+        left, right = sides.get(calculus.LEFT), sides.get(calculus.RIGHT)
+        sequent = Sequent.of(
             [_proof_formula(f, sig, memo) for f in left.items[1:]] if left else (),
             [_proof_formula(f, sig, memo) for f in right.items[1:]] if right else (),
-        ),
+        )
+    fields = dict(
+        rule=rule,
+        sequent=sequent,
         side=expect_atom(principal.items[1], "side").value if principal else None,
         principal=_proof_formula(principal.items[2], sig, memo) if principal else None,
         witness=parse_term(witness.items[1], sig, None) if witness else None,
@@ -434,26 +471,59 @@ def _read_node(
     return fields, premises.items[1:] if premises else ()
 
 
+class _Read:
+    """A node read but not yet built: its fields, its premise count and,
+    once a premise without a sequent asks for them, the premise sequents
+    that its rule data fixes."""
+
+    __slots__ = ("fields", "count", "fixed")
+
+    def __init__(self, fields: dict[str, object], count: int) -> None:
+        self.fields = fields
+        self.count = count
+        self.fixed: tuple[Sequent, ...] | str | None = None
+
+    def premise(self, index: int, form: SNode) -> Sequent:
+        """The sequent of premise `index`, read from `form`, which has none."""
+        if self.fixed is None:
+            node = Node(**self.fields)  # type: ignore[arg-type]
+            self.fixed = calculus.premise_sequents(node, self.count)
+        if isinstance(self.fixed, str):
+            raise ParseError(f"premise needs a sequent: {self.fixed}", form.line, form.col)
+        return self.fixed[index]
+
+
 def _parse_node(root: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
     """A proof tree, read with an explicit stack so that deep proofs do not
-    exhaust the call stack.  A node is built once all its premises are."""
+    exhaust the call stack.  A node is read after its conclusion: if it
+    has no sequent, it takes the one that the conclusion's rule data fixes
+    at its position.  A node is built once all its premises are."""
     built: list[Node] = []
-    stack: list[SNode | tuple[dict[str, object], int]] = [root]
+    stack: list[tuple[SNode, _Read | None, int] | _Read] = [(root, None, 0)]
     while stack:
         item = stack.pop()
-        if isinstance(item, tuple):
-            fields, count = item
+        if isinstance(item, _Read):
+            count = item.count
             premises = tuple(built[len(built) - count :])
             del built[len(built) - count :]
-            built.append(Node(premises=premises, **fields))  # type: ignore[arg-type]
-        else:
-            fields, forms = _read_node(item, sig, memo)
-            stack.append((fields, len(forms)))
-            stack.extend(reversed(forms))
+            built.append(Node(premises=premises, **item.fields))  # type: ignore[arg-type]
+            continue
+        form, conclusion, index = item
+        fields, forms = _read_node(form, sig, memo)
+        if fields["sequent"] is None:
+            if conclusion is None:
+                raise ParseError("the root node needs a sequent", form.line, form.col)
+            fields["sequent"] = conclusion.premise(index, form)
+        read = _Read(fields, len(forms))
+        stack.append(read)
+        stack.extend((f, read, i) for i, f in reversed(list(enumerate(forms))))
     return built[0]
 
 
 def parse_proof(text: str) -> tuple[Node, Signature]:
+    """The proof tree and signature of a proof file.  A node without a
+    sequent takes the one that its conclusion's rule data fixes; a file
+    that writes every sequent reads to the same tree."""
     nodes = parse_all(text)
     if len(nodes) != 1:
         raise ParseError("expected a single (proof ...) form", 1, 1)

@@ -144,7 +144,7 @@ class TestSolve:
         )
         assert main(["solve", str(problem)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: input nested too deeply")
+        assert err == f"error: {problem}: input nested too deeply\n"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--max-clauses", "--max-clause-size", "--max-candidates"])
@@ -202,6 +202,14 @@ def test_parse_error_names_its_file(tmp_path, capsys, name, text, argv, where):
     assert capsys.readouterr().err == f"error: {path}:{where}\n"
 
 
+def _one_premise_or_l(lines: list[str]) -> list[str]:
+    """The lines of a proof file with the first or-l node left with its
+    first premise only."""
+    i = next(k for k, line in enumerate(lines) if line.endswith("(node (rule or-l)"))
+    assert "(premises" in lines[i + 2] and lines[i + 5].endswith("(node (rule axiom)")
+    return lines[: i + 5] + lines[i + 7 :]
+
+
 class TestCheck:
     def test_tampered_proof_fails(self, tmp_path, capsys):
         out_file = tmp_path / "proof.sexp"
@@ -223,7 +231,8 @@ class TestCheck:
         assert "forall-l takes no eigen field" in capsys.readouterr().out
 
     def test_deep_nesting_exit_two(self, tmp_path, capsys):
-        # Proof trees are read with an explicit stack, formulas recursively.
+        # Proof trees and terms are read with explicit stacks, formulas
+        # recursively.
         depth = 5000
         formula = f"{'(not ' * depth}(P){')' * depth}"
         f = tmp_path / "deep.sexp"
@@ -233,7 +242,7 @@ class TestCheck:
         )
         assert main(["check", str(f)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: input nested too deeply")
+        assert err == f"error: {f}: input nested too deeply\n"
         assert "Traceback" not in err
 
     def test_deep_proof_prints_reads_and_checks(self, tmp_path, capsys):
@@ -255,6 +264,54 @@ class TestCheck:
         assert (data["status"], data["proof-q"]) == ("ok", str(depth))
         again, _ = parse_proof(text)
         assert print_proof(again, sig) == text
+
+    @pytest.mark.parametrize(
+        "edit, where, reason",
+        [
+            (lambda lines: lines[:10] + lines[11:], "9:3", "the root node needs a sequent"),
+            (
+                lambda lines: lines[:15] + lines[16:],
+                "13:7",
+                "premise needs a sequent: cut premises are not fixed by the cut formula",
+            ),
+            (
+                lambda lines: [line.replace("(rule or-l)", "(rule and-l)") for line in lines],
+                "34:27",
+                "premise needs a sequent: rule and-l does not fit principal"
+                " (or (P alpha (t1 alpha)) (P alpha (t2 alpha)))",
+            ),
+            (_one_premise_or_l, "34:27", "premise needs a sequent: or-l needs 2 premises"),
+        ],
+        ids=["root", "cut-premise", "and-l-on-or", "one-premise-or-l"],
+    )
+    def test_missing_sequent_exit_two(self, tmp_path, capsys, edit, where, reason):
+        # A sequent may be left out only where the conclusion's rule data
+        # fixes it; elsewhere the file is malformed, not an invalid proof.
+        out_file = tmp_path / "proof.sexp"
+        assert main(["solve", TWO_STEP, "--emit-proof", str(out_file)]) == 0
+        capsys.readouterr()
+        lines = out_file.read_text().split("\n")
+        assert "(sequent " in lines[10] and "(sequent " in lines[15]
+        bad = tmp_path / "bad.sexp"
+        bad.write_text("\n".join(edit(lines)))
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:{where}: {reason}\n"
+
+    def test_stated_premise_sequent_off_the_rule_exit_three(self, tmp_path, capsys):
+        # A premise may still state its sequent; one that differs from the
+        # sequent its conclusion fixes fails the check as before.
+        out_file = tmp_path / "proof.sexp"
+        assert main(["solve", TWO_STEP, "--emit-proof", str(out_file)]) == 0
+        capsys.readouterr()
+        text = out_file.read_text()
+        at = text.index("(node (rule axiom)", text.index("(rule or-l)"))
+        bad = tmp_path / "bad.sexp"
+        end = at + len("(node (rule axiom)")
+        bad.write_text(text[:end] + " (sequent (left) (right (P r1 r1)))" + text[end:])
+        assert main(["check", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert "or-l premises do not match the rule schema" in captured.out
+        assert captured.err == ""
 
     def test_garbage_exit_two(self, tmp_path):
         f = tmp_path / "junk.sexp"

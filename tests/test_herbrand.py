@@ -1,3 +1,4 @@
+import contextlib
 import sys
 
 import pytest
@@ -24,11 +25,43 @@ from pi2cut.herbrand import (
     proof_from_eh,
     proof_from_herbrand,
 )
+from pi2cut.problem_io import parse_proof, print_proof
 from pi2cut.syntax import App, Atom, Imp, Signature, Var, X, Y, const, term_to_sexp
 
 
 def P(*args):
     return Atom("P", tuple(args))
+
+
+def _long_chain(n: int) -> tuple[PrenexProblem, HerbrandInstanceSet]:
+    """P c, P x -> P (s x) |- P (s^n c), with the n + 1 instances that
+    prove it: a cut-free proof with one propositional branch n inferences
+    long.  Each term's printed form is cached as the term is made, so no
+    recursion deeper than a few frames prints one."""
+    sig = Signature({"c": 0, "s": 1}, {"P": 1})
+    s = lambda t: App("s", (t,))
+    x, y = Var("x1"), Var("y1")
+    pb = PrenexProblem(sig, ("x1",), ("y1",), Imp(P(x), P(s(x))), Imp(P(const("c")), P(y)))
+    terms = [const("c")]
+    for _ in range(n):
+        terms.append(s(terms[-1]))
+        term_to_sexp(terms[-1])
+    return pb, HerbrandInstanceSet([(t,) for t in terms[:-1]], [(terms[-1],)])
+
+
+@contextlib.contextmanager
+def _capped_stack(frames: int = 100):
+    """The call stack capped at `frames` frames above the caller's."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestHerbrandCheck:
@@ -218,36 +251,31 @@ class TestProofFromHerbrand:
         assert complexities(proof).quantifier == 2  # one per block variable
 
     def test_long_branch_built_without_deep_recursion(self):
-        # P c, P x -> P (s x) |- P (s^n c): the propositional part of the
-        # proof is one branch n inferences long.  The stack is capped well
-        # below n frames; only the builder's, the checker's and the
-        # measures' own depth is under test, so each term's printed form is
-        # cached as the term is made.
+        # The propositional part of the proof is one branch n inferences
+        # long.  Only the builder's, the checker's and the measures' own
+        # depth is under test.
         n = 150
-        sig = Signature({"c": 0, "s": 1}, {"P": 1})
-        s = lambda t: App("s", (t,))
-        x, y = Var("x1"), Var("y1")
-        pb = PrenexProblem(
-            sig, ("x1",), ("y1",), Imp(P(x), P(s(x))), Imp(P(const("c")), P(y))
-        )
-        terms = [const("c")]
-        for _ in range(n):
-            terms.append(s(terms[-1]))
-            term_to_sexp(terms[-1])
-        inst = HerbrandInstanceSet([(t,) for t in terms[:-1]], [(terms[-1],)])
-        depth = 0
-        frame = sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 100)
-        try:
+        pb, inst = _long_chain(n)
+        with _capped_stack():
             proof = proof_from_herbrand(pb, inst)
             assert check_proof(proof).ok
             assert complexities(proof) == ComplexityTriple(n + 1, 2 * n + 2, 7105144)
-        finally:
-            sys.setrecursionlimit(limit)
         assert sum(node.rule in WEAK_RULES for node in proof.nodes()) == n + 1
+
+    def test_long_branch_printed_and_read_without_deep_recursion(self):
+        # The printer writes no premise sequent of this cut-free proof, and
+        # its sequents grow along the branch: with every sequent written,
+        # 100 instances took 9.19 MB.  Its witness terms nest up to 150
+        # deep, and the reader walks terms with an explicit stack.
+        pb, inst = _long_chain(150)
+        proof = proof_from_herbrand(pb, inst)
+        with _capped_stack():
+            text = print_proof(proof, pb.signature)
+            again, _sig = parse_proof(text)
+            assert check_proof(again).ok
+            assert print_proof(again, pb.signature) == text
+        assert text.count("(sequent ") == 1
+        assert len(text) == 1_022_607
 
     def test_reserved_block_variable_rejected(self):
         from pi2cut.syntax import SyntaxError_

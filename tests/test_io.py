@@ -1,18 +1,21 @@
 import contextlib
 import io
+import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import PROBLEM_DIR, load, two_step, two_step_instances
+from gen import random_tautological_eh
 from pi2cut import problem_io
 from pi2cut.benchmark import generate_sn, minimal_cutfree_instances
-from pi2cut.calculus import check_proof, complexities
+from pi2cut.calculus import AND_R, AXIOM, RIGHT, Node, check_proof, complexities
 from pi2cut.cli import main
 from pi2cut.grammar import GrammarError
-from pi2cut.herbrand import proof_from_herbrand
+from pi2cut.herbrand import proof_from_eh, proof_from_herbrand
 from pi2cut.problem_io import (
     parse_formula,
     parse_problem,
@@ -20,10 +23,11 @@ from pi2cut.problem_io import (
     parse_starting_set,
     print_problem,
     print_proof,
+    print_sequent,
     print_starting_set,
 )
 from pi2cut.sexpr import ParseError, parse_all
-from pi2cut.solver import SolverOptions, introduce_cut
+from pi2cut.solver import NoSolutionUnderPool, SolverOptions, introduce_cut
 from pi2cut.syntax import (
     And,
     App,
@@ -34,16 +38,21 @@ from pi2cut.syntax import (
     Literal,
     Not,
     Or,
+    Sequent,
+    Signature,
     SyntaxError_,
     Var,
     X,
     Y,
     const,
     formula_to_sexp,
+    term_to_sexp,
 )
 
 
 ALL_FIXTURES = sorted(p.name for p in PROBLEM_DIR.glob("*.p2"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+LEGACY = GOLDEN / "legacy-two_step-gstar.proof"
 
 
 class TestSexpr:
@@ -325,6 +334,86 @@ def test_formula_print_parse_round_trip(formula):
     assert parse_formula(node, _SIG, None) == formula
 
 
+def reference_print_proof(root: Node, sig: Signature) -> str:
+    """A proof file that writes every node's whole sequent, the layout
+    that proof files had before premise sequents were left out where the
+    rule data of the conclusion fixes them.  The reader reads both
+    layouts, and must read them to one tree."""
+    lines = ["(proof", *problem_io._print_signature(sig, "  ")]
+    stack: list[tuple[Node, int] | str] = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        n, depth = item
+        pad = "  " * (1 + 2 * min(depth, problem_io._INDENT_DEPTH))
+        lines.append(f"{pad}(node (rule {n.rule})")
+        if n.principal is not None:
+            lines.append(f"{pad}  (principal {n.side} {formula_to_sexp(n.principal)})")
+        if n.witness is not None:
+            lines.append(f"{pad}  (witness {term_to_sexp(n.witness)})")
+        if n.eigen is not None:
+            lines.append(f"{pad}  (eigen {n.eigen})")
+        if n.keep:
+            lines.append(f"{pad}  (keep)")
+        if n.cut_formula is not None:
+            lines.append(f"{pad}  (cut-formula {formula_to_sexp(n.cut_formula)})")
+        lines.append(f"{pad}  {print_sequent(n.sequent)}")
+        if n.premises:
+            lines.append(f"{pad}  (premises")
+            stack += (f"{pad})", f"{pad}  )")
+            stack.extend((p, depth + 1) for p in reversed(n.premises))
+        else:
+            lines.append(f"{pad})")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+def _formula_texts(text: str) -> set[str]:
+    """The distinct formula texts of a proof file: its principal and cut
+    formulas and the formulas of the sequents it writes."""
+    out: set[str] = set()
+    stack = [parse_all(text)[0].items[2]]
+    while stack:
+        for part in stack.pop().items[1:]:
+            head, *items = part.items
+            if head.value == "principal":
+                out.add(items[1].text)
+            elif head.value == "cut-formula":
+                out.add(items[0].text)
+            elif head.value == "sequent":
+                out.update(f.text for side in items for f in side.items[1:])
+            elif head.value == "premises":
+                stack.extend(items)
+    return out
+
+
+def _oracle_proofs():
+    """Proofs of every kind the program builds: the one-cut proofs of the
+    solvable fixtures under both pools and of S_2..S_7, the cut-free
+    proofs of S_2 and S_3, and one-cut proofs of 40 seeded extended
+    sequents with a planted cut matrix."""
+    for name in ALL_FIXTURES:
+        pf = load(name)
+        for pool in ("gstar", "naive"):
+            try:
+                report = introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
+            except NoSolutionUnderPool:
+                continue
+            yield f"{name} {pool}", report.proof, pf.problem.signature
+    for n in range(2, 8):
+        sn = generate_sn(n)
+        yield f"S_{n}", introduce_cut(sn.problem, sn.grammar).proof, sn.problem.signature
+        if n <= 3:
+            inst = minimal_cutfree_instances(n)[0]
+            yield f"S_{n} cut-free", proof_from_herbrand(sn.problem, inst), sn.problem.signature
+    rng = random.Random(7)
+    for i in range(40):
+        eh = random_tautological_eh(rng)
+        yield f"planted {i}", proof_from_eh(eh), eh.problem.signature
+
+
 class TestProofFiles:
     def test_round_trip_checked(self):
         pf = two_step()
@@ -374,9 +463,57 @@ class TestProofFiles:
         assert occurrences > len(by_text)
         for same in by_text.values():
             assert all(f is same[0] for f in same)
-        assert top_level_calls == len(by_text)
+        # Each formula text the file carries is parsed once; the sequents
+        # it leaves out are rebuilt from interned instances, not parsed.
+        written = _formula_texts(text)
+        assert top_level_calls == len(written) < len(by_text)
         assert check_proof(again).ok
         assert print_proof(again, sig) == text
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["swapped", "weakened"])
+    def test_premise_off_the_rule_keeps_its_sequent(self, valid):
+        # The checker accepts premises in either order, and rejects a
+        # premise that the rule does not give; either way the file writes
+        # the premise's sequent and reads back to the tree it printed.
+        sig = Signature({"c": 0}, {"P": 1, "Q": 1})
+        p, q = Atom("P", (const("c"),)), Atom("Q", (const("c"),))
+        if valid:
+            first, second = Sequent.of([p, q], [q]), Sequent.of([p, q], [p])
+        else:
+            first, second = Sequent.of([p, q], [p]), Sequent.of([p, q, Atom("P", (Var("v"),))], [q])
+        premises = (Node(AXIOM, first), Node(AXIOM, second))
+        root = Node(AND_R, Sequent.of([p, q], [And(p, q)]), premises, And(p, q), RIGHT)
+        text = print_proof(root, sig)
+        assert text.count("(sequent ") == (3 if valid else 2)
+        again, _sig = parse_proof(text)
+        assert again == root
+        assert check_proof(again).ok is valid
+
+    def test_legacy_layout_reads_as_the_new_one(self, capsys):
+        # A file that writes every node's sequent, as all proof files did
+        # before premise sequents were left out where the rule fixes them.
+        legacy = LEGACY.read_text(encoding="utf-8")
+        assert main(["check", str(LEGACY)]) == 0
+        assert capsys.readouterr().out.startswith("status   ok\n")
+        old, sig = parse_proof(legacy)
+        new, _sig = parse_proof((GOLDEN / "solve-two_step-gstar.proof").read_text(encoding="utf-8"))
+        assert old == new
+        assert reference_print_proof(new, sig) == legacy
+        assert print_proof(old, sig) == print_proof(new, sig)
+
+    def test_both_layouts_read_to_one_tree(self):
+        cases = list(_oracle_proofs())
+        assert len(cases) == 3 * 2 + 6 + 2 + 40
+        for name, proof, sig in cases:
+            full = reference_print_proof(proof, sig)
+            text = print_proof(proof, sig)
+            from_full, _sig = parse_proof(full)
+            from_text, _sig = parse_proof(text)
+            assert from_full == from_text == proof, name
+            assert complexities(from_full) == complexities(from_text) == complexities(proof), name
+            assert check_proof(from_text).ok, name
+            assert print_proof(from_full, sig) == text, name
+            assert len(text) < len(full), name
 
     @pytest.mark.parametrize(
         "part, sequent, message",
@@ -424,6 +561,7 @@ _PROOF_TEXTS = [
         introduce_cut(_TWO_STEP.problem, _TWO_STEP.grammar, SolverOptions(pool="gstar")).proof,
         _TWO_STEP.problem.signature,
     ),
+    LEGACY.read_text(encoding="utf-8"),
 ]
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
 
