@@ -14,6 +14,14 @@ conclusion does not fix (`calculus.premise_sequents`), such as a cut's
 premises; the reader rebuilds every other one.  A file that writes more
 sequents, every one even, reads to the same tree, and the checker
 compares a written premise sequent with the rule as before.
+
+A principal formula is written as its index on its side of the node's
+conclusion, in the order `print_sequent` writes that side, and the
+reader resolves the index once the node's sequent is known, written or
+rebuilt.  A principal that is not on that side, which the checker
+rejects, is written in full; the reader takes a formula in that place
+from any file, so files that write every principal in full read to the
+same tree.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .syntax import (
     Y,
     beta,
     clause_key,
+    formula_key,
     formula_to_sexp,
     is_quantifier_free,
     is_reserved,
@@ -165,6 +174,19 @@ def _tuple_of(
     return tuple(parse_term(t, sig, variables) for t in items)
 
 
+def _number(token: SAtom, what: str) -> int:
+    """The natural number that `token` writes in decimal; `what` names it
+    in the error if it writes none."""
+    digits = token.value
+    # str.isdigit alone admits digits such as '²' that int() rejects.
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what} must be a number: {digits}", token.line, token.col)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what} too large", token.line, token.col) from None
+
+
 def _parse_signature(lst: SList) -> Signature:
     """The `(signature (fun name arity) (pred name arity) ...)` section
     shared by problem and proof files."""
@@ -176,15 +198,7 @@ def _parse_signature(lst: SList) -> Signature:
         if kind not in ("fun", "pred") or len(decl.items) != 3:
             raise ParseError("expected (fun name arity) or (pred name arity)", decl.line, decl.col)
         name = expect_atom(decl.items[1], "symbol name").value
-        arity_tok = expect_atom(decl.items[2], "arity")
-        digits = arity_tok.value
-        # str.isdigit alone admits digits such as '²' that int() rejects.
-        if not (digits.isascii() and digits.isdigit()):
-            raise ParseError(f"arity must be a number: {digits}", arity_tok.line, arity_tok.col)
-        try:
-            arity = int(digits)
-        except ValueError:  # more digits than int() converts
-            raise ParseError("arity too large", arity_tok.line, arity_tok.col) from None
+        arity = _number(expect_atom(decl.items[2], "arity"), "arity")
         if is_reserved(name):
             raise ParseError(f"reserved name '{name}' may not be declared", decl.line, decl.col)
         if name in functions or name in predicates:
@@ -357,18 +371,36 @@ def print_sequent(s: Sequent) -> str:
 
 
 # Premises indent two levels deeper than their conclusion down to this
-# node depth, and deeper nodes keep that indentation, so that the text of
-# a deep proof grows linearly with its depth, not quadratically.  The
-# deepest proof the benchmark prints, the cut-free proof of S_3, is 109
-# nodes deep.
-_INDENT_DEPTH = 128
+# node depth, and deeper nodes keep that indentation: the text of a deep
+# proof then grows linearly with its depth, not quadratically, and leading
+# spaces stay a small share of it.  Nesting is carried by the parentheses;
+# the indentation is only for the eye, which does not follow a proof past
+# a few levels.
+_INDENT_DEPTH = 16
+
+
+def _side_of(s: Sequent, side: str | None) -> frozenset[Formula] | None:
+    """The formulas on side `side` of `s`, or None if it names no side."""
+    return s.left if side == calculus.LEFT else s.right if side == calculus.RIGHT else None
+
+
+def _principal_slot(n: Node) -> str:
+    """The principal part of `n` as written: the principal's position on
+    its side of the conclusion, in the order `print_sequent` writes that
+    side, or the formula itself if it is not on a side of the conclusion."""
+    text = formula_to_sexp(n.principal)
+    side = _side_of(n.sequent, n.side)
+    if side is None or n.principal not in side:
+        return text
+    return str(sum(formula_to_sexp(f) < text for f in side))
 
 
 def _print_node(root: Node, indent: int) -> list[str]:
     """The lines of a proof tree, walked with an explicit stack so that
     deep proofs do not exhaust the call stack.  The root's sequent is
     written; a premise's only where the rule data of its parent does not
-    fix it (`calculus.premise_sequents`), as under a cut."""
+    fix it (`calculus.premise_sequents`), as under a cut.  A node without
+    premises closes on its own last line."""
     lines: list[str] = []
     stack: list[tuple[Node, int, bool] | str] = [(root, 0, True)]
     while stack:
@@ -380,7 +412,7 @@ def _print_node(root: Node, indent: int) -> list[str]:
         pad = "  " * (indent + 2 * min(depth, _INDENT_DEPTH))
         lines.append(f"{pad}(node (rule {n.rule})")
         if n.principal is not None:
-            lines.append(f"{pad}  (principal {n.side} {formula_to_sexp(n.principal)})")
+            lines.append(f"{pad}  (principal {n.side} {_principal_slot(n)})")
         if n.witness is not None:
             lines.append(f"{pad}  (witness {term_to_sexp(n.witness)})")
         if n.eigen is not None:
@@ -399,7 +431,7 @@ def _print_node(root: Node, indent: int) -> list[str]:
                 p = n.premises[i]
                 stack.append((p, depth + 1, isinstance(fixed, str) or fixed[i] != p.sequent))
         else:
-            lines.append(f"{pad})")
+            lines[-1] += ")"
     return lines
 
 
@@ -435,9 +467,11 @@ def _proof_formula(node: SNode, sig: Signature, memo: dict[str, Formula]) -> For
 
 def _read_node(
     node: SNode, sig: Signature, memo: dict[str, Formula]
-) -> tuple[dict[str, object], tuple[SNode, ...]]:
-    """The fields of one proof node, its sequent None if it has none, and
-    the forms of its premises."""
+) -> tuple[dict[str, object], tuple[SNode, ...], tuple[str, int, SAtom] | None]:
+    """The fields of one proof node, its sequent None if it has none, the
+    forms of its premises and, if the principal is written as an index,
+    its side, that index and its token; the principal field is then None
+    until `_referenced` resolves it against the node's sequent."""
     lst = expect_list(node, "proof node")
     if head_of(lst, "node") != "node":
         raise ParseError("expected (node ...)", lst.line, lst.col)
@@ -457,18 +491,40 @@ def _read_node(
             [_proof_formula(f, sig, memo) for f in left.items[1:]] if left else (),
             [_proof_formula(f, sig, memo) for f in right.items[1:]] if right else (),
         )
+    side = formula = ref = None
+    if principal:
+        side_tok, slot = expect_atom(principal.items[1], "side"), principal.items[2]
+        side = side_tok.value
+        if isinstance(slot, SAtom):
+            if side not in _SIDES:
+                msg = f"a principal index needs side left or right, not '{side}'"
+                raise ParseError(msg, side_tok.line, side_tok.col)
+            ref = (side, _number(slot, "principal index"), slot)
+        else:
+            formula = _proof_formula(slot, sig, memo)
     fields = dict(
         rule=rule,
         sequent=sequent,
-        side=expect_atom(principal.items[1], "side").value if principal else None,
-        principal=_proof_formula(principal.items[2], sig, memo) if principal else None,
+        side=side,
+        principal=formula,
         witness=parse_term(witness.items[1], sig, None) if witness else None,
         eigen=expect_atom(eigen.items[1], "eigenvariable").value if eigen else None,
         keep="keep" in parts,
         cut_formula=_proof_formula(cut.items[1], sig, memo) if cut else None,
     )
     premises = parts.get("premises")
-    return fields, premises.items[1:] if premises else ()
+    return fields, premises.items[1:] if premises else (), ref
+
+
+def _referenced(sequent: Sequent, side: str, index: int, token: SAtom) -> Formula:
+    """Formula `index` of side `side` of `sequent`, counted in the order
+    `print_sequent` writes that side."""
+    formulas = _side_of(sequent, side)
+    if index >= len(formulas):
+        held = len(formulas)
+        msg = f"principal index {index} is past the {side} side, which holds {held} formula(s)"
+        raise ParseError(msg, token.line, token.col)
+    return sorted(formulas, key=formula_key)[index]
 
 
 class _Read:
@@ -509,11 +565,13 @@ def _parse_node(root: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
             built.append(Node(premises=premises, **item.fields))  # type: ignore[arg-type]
             continue
         form, conclusion, index = item
-        fields, forms = _read_node(form, sig, memo)
+        fields, forms, ref = _read_node(form, sig, memo)
         if fields["sequent"] is None:
             if conclusion is None:
                 raise ParseError("the root node needs a sequent", form.line, form.col)
             fields["sequent"] = conclusion.premise(index, form)
+        if ref is not None:
+            fields["principal"] = _referenced(fields["sequent"], *ref)  # type: ignore[arg-type]
         read = _Read(fields, len(forms))
         stack.append(read)
         stack.extend((f, read, i) for i, f in reversed(list(enumerate(forms))))

@@ -206,8 +206,8 @@ def _one_premise_or_l(lines: list[str]) -> list[str]:
     """The lines of a proof file with the first or-l node left with its
     first premise only."""
     i = next(k for k, line in enumerate(lines) if line.endswith("(node (rule or-l)"))
-    assert "(premises" in lines[i + 2] and lines[i + 5].endswith("(node (rule axiom)")
-    return lines[: i + 5] + lines[i + 7 :]
+    assert "(premises" in lines[i + 2] and lines[i + 4].endswith("(node (rule axiom))")
+    return lines[: i + 4] + lines[i + 5 :]
 
 
 class TestCheck:
@@ -296,6 +296,52 @@ class TestCheck:
         bad.write_text("\n".join(edit(lines)))
         assert main(["check", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {bad}:{where}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "principal, where, reason",
+        [
+            ("(principal right 2)", "14:26", "principal index 2 is past the right side, which holds 2 formula(s)"),
+            ("(principal right -1)", "14:26", "principal index must be a number: -1"),
+            ("(principal right \u00b2)", "14:26", "principal index must be a number: \u00b2"),
+            (f"(principal right {'9' * 5000})", "14:26", "principal index too large"),
+            ("(principal middle 1)", "14:20", "a principal index needs side left or right, not 'middle'"),
+        ],
+        ids=["past-the-side", "negative", "superscript", "5000-digits", "middle"],
+    )
+    def test_bad_principal_index_exit_two(self, tmp_path, capsys, principal, where, reason):
+        # A principal is written as its position on its side of the
+        # conclusion; a position the conclusion does not have is malformed.
+        out_file = tmp_path / "proof.sexp"
+        assert main(["solve", TWO_STEP, "--emit-proof", str(out_file)]) == 0
+        capsys.readouterr()
+        lines = out_file.read_text().split("\n")
+        assert lines[13] == "        (principal right 1)" and "(rule forall-r)" in lines[12]
+        bad = tmp_path / "bad.sexp"
+        bad.write_text("\n".join(lines[:13] + [f"        {principal}"] + lines[14:]), encoding="utf-8")
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:{where}: {reason}\n"
+
+    def test_principal_off_the_conclusion_exit_three(self, tmp_path, capsys):
+        # A principal that is not in its conclusion is written as a
+        # formula, with its premise's sequent, and fails the check.
+        c = const("c")
+        fa = ForAll("x", Atom("P", (Var("x"),)))
+        top = Sequent.of([fa, Atom("P", (c,))], [Atom("P", (c,))])
+        bad = Node(
+            FORALL_L,
+            Sequent.of([Atom("P", (c,))], [Atom("P", (c,))]),
+            (Node(AXIOM, top),),
+            principal=fa,
+            side=LEFT,
+            witness=c,
+            keep=True,
+        )
+        text = print_proof(bad, Signature({"c": 0}, {"P": 1}))
+        assert "(principal left (forall x (P x)))" in text and text.count("(sequent ") == 2
+        f = tmp_path / "bad.sexp"
+        f.write_text(text)
+        assert main(["check", str(f)]) == 3
+        assert "principal formula not in the conclusion" in capsys.readouterr().out
 
     def test_stated_premise_sequent_off_the_rule_exit_three(self, tmp_path, capsys):
         # A premise may still state its sequent; one that differs from the

@@ -275,7 +275,7 @@ class TestProofFromHerbrand:
             assert check_proof(again).ok
             assert print_proof(again, pb.signature) == text
         assert text.count("(sequent ") == 1
-        assert len(text) == 1_022_607
+        assert len(text) == 195_529
 
     def test_reserved_block_variable_rejected(self):
         from pi2cut.syntax import SyntaxError_

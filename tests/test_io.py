@@ -26,7 +26,7 @@ from pi2cut.problem_io import (
     print_sequent,
     print_starting_set,
 )
-from pi2cut.sexpr import ParseError, parse_all
+from pi2cut.sexpr import ParseError, SList, parse_all
 from pi2cut.solver import NoSolutionUnderPool, SolverOptions, introduce_cut
 from pi2cut.syntax import (
     And,
@@ -110,6 +110,16 @@ _ERROR_POSITIONS = [
         parse_proof,
         _proof_text("(principal\tright (P (g c)))", "(sequent (left (P c)) (right (P c)))"),
         "4:26: unknown function symbol 'g'",
+    ),
+    (
+        parse_proof,
+        _proof_text("(principal left 1)", "(sequent (left (P c)) (right (P c)))"),
+        "4:21: principal index 1 is past the left side, which holds 1 formula(s)",
+    ),
+    (
+        parse_proof,
+        _proof_text("(principal\tdown 0)", "(sequent (left (P c)) (right (P c)))"),
+        "4:16: a principal index needs side left or right, not 'down'",
     ),
 ]
 
@@ -379,7 +389,8 @@ def _formula_texts(text: str) -> set[str]:
         for part in stack.pop().items[1:]:
             head, *items = part.items
             if head.value == "principal":
-                out.add(items[1].text)
+                if isinstance(items[1], SList):  # not an index into the sequent
+                    out.add(items[1].text)
             elif head.value == "cut-formula":
                 out.add(items[0].text)
             elif head.value == "sequent":
@@ -489,6 +500,18 @@ class TestProofFiles:
         assert again == root
         assert check_proof(again).ok is valid
 
+    def test_principal_index_reads_as_its_formula(self):
+        # An index counts the formulas of its side in the order the
+        # sequent is written; a formula in its place reads the same.
+        sequent = "(sequent (left (P c) (P (f c))) (right (P c)))"
+        by_formula = [
+            parse_proof(_proof_text(f"(principal left {f})", sequent))[0]
+            for f in ("(P (f c))", "(P c)")
+        ]
+        by_index = [parse_proof(_proof_text(f"(principal left {i})", sequent))[0] for i in (0, 1)]
+        assert by_index == by_formula
+        assert [formula_to_sexp(n.principal) for n in by_index] == ["(P (f c))", "(P c)"]
+
     def test_legacy_layout_reads_as_the_new_one(self, capsys):
         # A file that writes every node's sequent, as all proof files did
         # before premise sequents were left out where the rule fixes them.
@@ -514,6 +537,8 @@ class TestProofFiles:
             assert check_proof(from_text).ok, name
             assert print_proof(from_full, sig) == text, name
             assert len(text) < len(full), name
+            # Every principal is in its conclusion, so each is an index.
+            assert "(principal left (" not in text and "(principal right (" not in text, name
 
     @pytest.mark.parametrize(
         "part, sequent, message",
