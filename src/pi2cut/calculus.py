@@ -34,8 +34,8 @@ from .syntax import (
     formula_key,
     formula_to_sexp,
     free_vars,
+    instance,
     is_quantifier_free,
-    substitute,
 )
 
 # Rule labels.
@@ -113,7 +113,7 @@ _Added = tuple[tuple[Formula, ...], tuple[Formula, ...]]
 def _instance(f: Formula, t: Term | None) -> Formula:
     if t is None:
         raise SyntaxError_(f"no witness or eigenvariable for {formula_to_sexp(f)}")
-    return substitute(f.body, {f.var: t})  # type: ignore[union-attr]
+    return instance(f, t)
 
 
 # The inference rules: for each side and connective or quantifier, the rule
@@ -203,13 +203,23 @@ def maximal_derivation(s: Sequent) -> Node:
 def _greedy_pick(s: Sequent, cands: Sequence[tuple[str, Formula]]) -> int:
     """Prefer decompositions that close premises at once: fewest premises
     left open, then fewest premises.  Keeps constructed proofs small; the
-    choice does not affect which sequents are provable."""
+    choice does not affect which sequents are provable.
+
+    `prop_proof` asks only when the sides of `s` share no atom, and every
+    candidate is compound, so a premise shares an atom exactly when an
+    atom the rule adds on one side is on the other side of `s` or is added
+    there.  The premises themselves are not built."""
     best = 0
     best_key = (len(s.left) + len(s.right) + 9, 9)
     for idx, (side, f) in enumerate(cands):
-        _, prem = premises_of(s, side, f)
-        open_count = sum(1 for q in prem if not q.shares_atom())
-        key = (open_count, len(prem))
+        added = _RULES[(side, type(f))][1](f, None)
+        open_count = sum(
+            1
+            for l_add, r_add in added
+            if not any(type(g) is Atom and (g in s.right or g in r_add) for g in l_add)
+            and not any(type(g) is Atom and g in s.left for g in r_add)
+        )
+        key = (open_count, len(added))
         if key < best_key:
             best, best_key = idx, key
             if key == (0, 1):

@@ -36,6 +36,7 @@ from .syntax import (
     forall_block,
     formula_key,
     free_vars,
+    instance,
     is_quantifier_free,
     is_reserved,
     sharp_count,
@@ -195,7 +196,7 @@ def _trie_steps(
     assert isinstance(block, (ForAll, Exists))
     groups: dict[str, tuple[Term, Formula, list[tuple[Term, ...]]]] = {}
     for tup in sorted(set(tuples), key=tuple_key):
-        child = substitute(block.body, {block.var: tup[0]})
+        child = instance(block, tup[0])
         entry = groups.setdefault(formula_key(child), (tup[0], child, []))
         entry[2].append(tup[1:])
     ordered = [groups[k] for k in sorted(groups)]
@@ -274,7 +275,7 @@ def proof_from_eh(eh: ExtendedHerbrandSequent) -> Node:
 
     # Left branch: derive |- cut formula next to the end-sequent.
     left_bottom = Sequent.of([universal], [existential, cutf])
-    exists_cut = substitute(Exists(Y, eh.cut_matrix), {X: Var(ALPHA)})
+    exists_cut = instance(cutf, Var(ALPHA))
     steps = [_Step(cutf, calculus.RIGHT, eigen=ALPHA)]
     for i, t in enumerate(g.t_terms):
         steps.append(_Step(exists_cut, calculus.RIGHT, witness=t, keep=i < g.p - 1))
@@ -289,7 +290,7 @@ def proof_from_eh(eh: ExtendedHerbrandSequent) -> Node:
     for j, r in enumerate(g.r_terms, 1):
         steps.append(_Step(cutf, calculus.LEFT, witness=r, keep=j < g.m))
         steps.append(
-            _Step(substitute(Exists(Y, eh.cut_matrix), {X: r}), calculus.LEFT, eigen=beta(j))
+            _Step(instance(cutf, r), calculus.LEFT, eigen=beta(j))
         )
     steps += _trie_steps(existential, pb.exists_vars, g.g_tuples, calculus.RIGHT)
     if not lean_right:

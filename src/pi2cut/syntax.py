@@ -1,8 +1,9 @@
 """First-order syntax kernel.
 
 Terms, quantifier-free and quantified formulas, literals, clause sets,
-sequents, simultaneous substitution, disjunctive normal form and the
-position-difference count used to measure instantiation sets.
+sequents, simultaneous substitution and cached quantifier instances,
+disjunctive normal form and the position-difference count used to
+measure instantiation sets.
 
 Everything here is immutable and printed in a canonical s-expression
 syntax; the printed form doubles as the canonical sort key, so every
@@ -59,6 +60,9 @@ class SyntaxError_(Exception):
 # The tables are deliberate per-class state.  They hold every distinct
 # node for the life of the process (the command line runs one process per
 # command); they can change no result, only object identity and memory.
+# `instance` keeps one more such table, from (quantifier, term) to the
+# quantifier's body at that term; a capturing instance raises and is not
+# stored.
 
 _new = object.__new__
 _set = object.__setattr__
@@ -341,6 +345,21 @@ def substitute(f: Formula, sub: Substitution) -> Formula:
         body = substitute(f.body, inner)
         return ForAll(f.var, body) if isinstance(f, ForAll) else Exists(f.var, body)
     raise SyntaxError_(f"not a formula: {f!r}")
+
+
+_instances: dict[tuple[Formula, Term], Formula] = {}
+
+
+def instance(q: Formula, t: Term) -> Formula:
+    """The body of the quantifier `q` at the term `t`, computed once per
+    `(q, t)`.  A capturing instance raises on every call and is not kept."""
+    key = (q, t)
+    out = _instances.get(key)
+    if out is None:
+        if not isinstance(q, (ForAll, Exists)):
+            raise SyntaxError_(f"not a quantifier: {q!r}")
+        out = _instances[key] = substitute(q.body, {q.var: t})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import gen
 from fixtures import PROBLEM_DIR, load, two_step
 from pi2cut.calculus import (
     AND_R,
@@ -23,17 +24,20 @@ from pi2cut.calculus import (
     Node,
     _RULES,
     _candidates,
+    _expand,
     _sat,
     check_proof,
     complexities,
     is_tautology,
     maximal_derivation,
     non_tautological_leaves,
+    premises_of,
+    prop_proof,
     symbol_count,
     tagged_leaves,
 )
 from pi2cut.benchmark import generate_sn, minimal_cutfree_instances
-from pi2cut.herbrand import ExtendedHerbrandSequent, proof_from_eh, proof_from_herbrand
+from pi2cut.herbrand import ExtendedHerbrandSequent, midsequent, proof_from_eh, proof_from_herbrand
 from pi2cut.solver import NoSolutionUnderPool, build_sehs, introduce_cut
 from pi2cut.syntax import (
     ALPHA,
@@ -189,6 +193,52 @@ def test_tautology_oracle_equivalence():
         s = random_sequent(rng)
         via_leaves = not non_tautological_leaves(s)
         assert is_tautology(s) == via_leaves
+
+
+def reference_greedy_pick(s: Sequent, cands) -> int:
+    """The greedy policy by its definition: build every candidate's
+    premises and prefer fewest open ones, then fewest premises, stopping
+    at the first candidate with one closed premise."""
+    best = 0
+    best_key = (len(s.left) + len(s.right) + 9, 9)
+    for idx, (side, f) in enumerate(cands):
+        _, prem = premises_of(s, side, f)
+        open_count = sum(1 for q in prem if not q.shares_atom())
+        key = (open_count, len(prem))
+        if key < best_key:
+            best, best_key = idx, key
+            if key == (0, 1):
+                break
+    return best
+
+
+class TestPropProof:
+    """`prop_proof` scores its choices from the rule table's added
+    formulas; the trees must be those of the premise-building policy."""
+
+    @staticmethod
+    def sequents():
+        rng = random.Random(66_000)
+        for i in range(300):
+            yield f"random {i}", random_sequent(rng)
+        for n in range(2, 8):
+            sn = generate_sn(n)
+            yield f"S_{n}", midsequent(sn.problem, sn.grammar)
+        rng = random.Random(67_000)
+        for i in range(40):
+            eh = gen.random_tautological_eh(rng)
+            yield f"eh {i} mid-sequent", eh.instance_sequent()
+            yield f"eh {i} extended", eh.sequent()
+
+    def test_trees_match_the_premise_building_policy(self):
+        verdicts = []
+        for name, s in self.sequents():
+            proof = prop_proof(s)
+            assert proof == _expand(s, True, reference_greedy_pick), name
+            closed = all(leaf.rule == AXIOM for leaf in proof.leaves())
+            assert closed == is_tautology(s), name
+            verdicts.append(closed)
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 def brute_sat(clauses: list[list[int]]) -> bool:

@@ -34,6 +34,7 @@ from pi2cut.syntax import (
     dual,
     formula_to_sexp,
     free_vars,
+    instance,
     is_reserved,
     literal_to_sexp,
     sharp_count,
@@ -90,6 +91,44 @@ class TestSubstitution:
     def test_shadowed_binding_dropped(self):
         e = ForAll("u", P(Var("u"), Var("v")))
         assert substitute(e, {"u": a, "v": b}) == ForAll("u", P(Var("u"), b))
+
+
+class TestInstance:
+    def test_matches_substitution_and_is_kept(self):
+        from test_calculus import random_formula, random_term
+
+        rng = random.Random(65_000)
+        captured = 0
+        for i in range(500):
+            q = rng.choice([ForAll, Exists])(rng.choice("uvw"), random_formula(rng, 3))
+            t = random_term(rng, 2)
+            try:
+                want = substitute(q.body, {q.var: t})
+            except SyntaxError_:
+                captured += 1
+                for _ in range(2):
+                    with pytest.raises(SyntaxError_):
+                        instance(q, t)
+                continue
+            first = instance(q, t)
+            assert first == want, f"case {i}"
+            assert instance(q, t) is first, f"case {i}"
+        assert 0 < captured < 250
+
+    def test_capture_raises_on_every_call(self):
+        # A predicate no other test uses, so the first call here is the
+        # first call of the process.
+        q = ForAll("u", Exists("y", Atom("InstanceCapture", (Var("u"), Var("y")))))
+        for _ in range(2):
+            with pytest.raises(SyntaxError_):
+                instance(q, f(Var("y")))
+        assert instance(q, f(Var("v"))) == Exists(
+            "y", Atom("InstanceCapture", (f(Var("v")), Var("y")))
+        )
+
+    def test_rejects_a_non_quantifier(self):
+        with pytest.raises(SyntaxError_):
+            instance(Not(P(a)), a)
 
 
 class TestFreeVars:
