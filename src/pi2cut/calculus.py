@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .syntax import (
     And,
@@ -192,9 +192,9 @@ def maximal_derivation(s: Sequent) -> Node:
     """Exhaustively apply the invertible propositional rules, always
     decomposing the canonically least compound formula first.
 
-    This is the reference tree: `non_tautological_leaves` computes its
-    non-tautological leaves without building it, and the tagged walk and
-    the tautology oracle are tested against it.
+    This is the reference tree: `leaf_masks` computes its non-tautological
+    leaves without building it, and the tagged walk and the tautology
+    oracle are tested against it.
     """
     _require_quantifier_free(s)
     return _expand(s, stop_at_axiom=False, policy=None)
@@ -233,35 +233,112 @@ def prop_proof(s: Sequent) -> Node:
     return _expand(s, stop_at_axiom=True, policy=_greedy_pick)
 
 
-def non_tautological_leaves(s: Sequent) -> frozenset[Sequent]:
-    """The `non-taut-leaf` sequents of `maximal_derivation(s)`, walked with
-    an explicit stack and without building the tree.
+class LeafMasks(NamedTuple):
+    """Leaves as pairs of bit masks: bit i of a side stands for
+    `formulas[i]`, and `pairs` lists each leaf's (left, right) once."""
 
-    The walk decomposes the same canonically least compound formula first.
+    formulas: tuple[Formula, ...]
+    pairs: tuple[tuple[int, int], ...]
+
+    def decode(self, mask: int) -> frozenset[Formula]:
+        """The formulas whose bits are set in `mask`."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.formulas[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    def sequents(self) -> Iterator[Sequent]:
+        """The leaves as sequents, in the order of `pairs`."""
+        return (Sequent(self.decode(left), self.decode(right)) for left, right in self.pairs)
+
+
+def leaf_masks(s: Sequent) -> LeafMasks:
+    """The `non-taut-leaf` sequents of `maximal_derivation(s)`, in its leaf
+    order with repeats left out, walked with an explicit stack and without
+    building the tree or any sequent.
+
+    The subformulas of `s` are ranked by `formula_key`, so a side is a bit
+    mask and the canonically least compound formula of a branch is the
+    lowest compound bit set on either side; on both sides, the left copy
+    goes first, as in `_candidates`.  What each premise of each rule adds
+    is read once per compound formula and side from the rule table.
+
     That order is part of the definition of `Sehs.leaves`: sides are sets,
     so a formula that an earlier branching rule already split can merge
     with a copy of itself, and another order can leave a different
     non-tautological leaf set (each extra leaf a superset of a canonical
     one).
 
-    A branch is dropped as soon as its two sides share an atom.  Every
-    propositional rule removes only its compound principal and adds its
-    subformulas, so an atom never leaves a side: every leaf below such a
-    branch shares that atom and is an axiom.
+    A branch is dropped as soon as its two sides share an atom, before it
+    is put on the stack.  Every propositional rule removes only its
+    compound principal and adds its subformulas, so an atom never leaves a
+    side: every leaf below such a branch shares that atom and is an axiom.
     """
     _require_quantifier_free(s)
-    out = set()
-    stack = [s]
+    subs: set[Formula] = set()
+    todo = [*s.left, *s.right]
+    while todo:
+        f = todo.pop()
+        if f not in subs:
+            subs.add(f)
+            if type(f) is Not:
+                todo.append(f.sub)
+            elif type(f) is not Atom:
+                todo += (f.left, f.right)
+    formulas = tuple(sorted(subs, key=formula_key))
+    bit = {f: 1 << i for i, f in enumerate(formulas)}
+
+    def mask(fs: Iterable[Formula]) -> int:
+        out = 0
+        for f in fs:
+            out |= bit[f]
+        return out
+
+    def premise_masks(side: str, f: Formula) -> tuple[tuple[int, int], ...]:
+        """The (left, right) masks each premise of the rule for `f` on
+        `side` adds, last premise first so that the stack pops the first
+        one first."""
+        added = _RULES[(side, type(f))][1](f, None)
+        return tuple((mask(l_add), mask(r_add)) for l_add, r_add in reversed(added))
+
+    atoms = mask(f for f in formulas if type(f) is Atom)
+    compound = mask(formulas) ^ atoms
+    # Per rank of a compound formula, the premise masks of its left and its right rule.
+    adds = [
+        () if type(f) is Atom else (premise_masks(LEFT, f), premise_masks(RIGHT, f))
+        for f in formulas
+    ]
+    out: dict[tuple[int, int], None] = {}
+    left, right = mask(s.left), mask(s.right)
+    stack = [] if left & right & atoms else [(left, right)]
     while stack:
-        seq = stack.pop()
-        if seq.shares_atom():
+        left, right = stack.pop()
+        principal = (left | right) & compound
+        if not principal:
+            out[left, right] = None
             continue
-        cands = _candidates(seq.left, seq.right)
-        if cands:
-            stack.extend(premises_of(seq, *cands[0])[1])
+        principal &= -principal
+        on_left, on_right = adds[principal.bit_length() - 1]
+        if left & principal:
+            left ^= principal
+            premises = on_left
         else:
-            out.add(seq)
-    return frozenset(out)
+            right ^= principal
+            premises = on_right
+        for l_add, r_add in premises:
+            l_add |= left
+            r_add |= right
+            if not l_add & r_add & atoms:
+                stack.append((l_add, r_add))
+    return LeafMasks(formulas, tuple(out))
+
+
+def non_tautological_leaves(s: Sequent) -> frozenset[Sequent]:
+    """The `non-taut-leaf` sequents of `maximal_derivation(s)`: the leaves
+    of `leaf_masks(s)` as sequents."""
+    return frozenset(leaf_masks(s).sequents())
 
 
 # Ancestry: which formulas of a derivation descend from the end sequent.

@@ -8,6 +8,7 @@ or proof-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -220,7 +221,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to `main`.  It
+    stores no subcommand function: `main` looks each one up by name on
+    every call, so a wrapper put in place of a `_cmd_*` function (as
+    ``perfbench/tracer.py`` does) is the one called."""
     parser = argparse.ArgumentParser(
         prog="pi2cut",
         description="Introduce a single forall-exists cut into a cut-free proof",
@@ -237,26 +243,31 @@ def main(argv: list[str] | None = None) -> int:
     solve.add_argument("--emit-proof", metavar="OUT")
     solve.add_argument("--verify", action="store_true", help="re-check the --emit-proof file")
     solve.add_argument("--json", action="store_true")
-    solve.set_defaults(fn=_cmd_solve)
 
     check = sub.add_parser("check", help="validate a proof file")
     check.add_argument("proof")
     check.add_argument("--json", action="store_true")
-    check.set_defaults(fn=_cmd_check)
 
     language = sub.add_parser("language", help="print the grammar's rigid language")
     language.add_argument("file")
-    language.set_defaults(fn=_cmd_language)
 
     bench = sub.add_parser("bench-sn", help="run the reachability benchmark family")
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--cut-free", action="store_true")
     bench.add_argument("--json", action="store_true")
-    bench.set_defaults(fn=_cmd_bench)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    commands = {
+        "solve": _cmd_solve,
+        "check": _cmd_check,
+        "language": _cmd_language,
+        "bench-sn": _cmd_bench,
+    }
     try:
-        return args.fn(args)
+        return commands[args.command](args)
     except VerificationFailure as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return CHECK_ERROR

@@ -2,31 +2,34 @@
 
 Pipeline: one `Sehs` per solve derives what does not depend on the
 matrix.  The end-sequent instances of a schematic grammar form its
-reduced representation; one index maps each literal (antecedent atoms
-positive, succedent atoms negated) to its non-tautological leaves that
-hold it, read straight from the leaf engine's sequents: no literal-set
-copy, no canonical order.  Candidate matrices are disjunctive normal
-forms over clause sets drawn from a starting set, each set built from
-cl survivors one clause smaller; two closure filters, set operations
-over that index, prune clause sets that cannot close every leaf, the
-survivors are verified by SAT against the same instances, and a
-verified set becomes a checked proof with one cut.
+reduced representation; the leaf engine returns its non-tautological
+leaves as pairs of bit masks over its ranked subformulas, and one index,
+read straight from those pairs, maps each literal (antecedent atoms
+positive, succedent atoms negated) to the leaves that hold it.
+Candidate matrices are disjunctive normal forms over clause sets drawn
+from a starting set, each set built from cl survivors one clause
+smaller; two closure filters, set operations over that index, prune
+clause sets that cannot close every leaf, the survivors are verified
+by SAT against the same instances, and a verified set becomes a
+checked proof with one cut.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import defaultdict
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .calculus import complexities, is_tautology, non_tautological_leaves
+from .calculus import LeafMasks, complexities, is_tautology, leaf_masks
 # Unused here; stays importable because perfbench/tracer.py wraps solver.maximal_derivation.
 from .calculus import maximal_derivation  # noqa: F401
 # Unused here; stays importable because perfbench/tracer.py wraps solver.tagged_leaves.
 from .calculus import tagged_leaves  # noqa: F401
+# Unused here; stays importable because perfbench/tracer.py wraps solver.non_tautological_leaves.
+from .calculus import non_tautological_leaves  # noqa: F401
 from .grammar import (
     GrammarError,
     GStarSystem,
@@ -116,6 +119,10 @@ class CapExceeded(SolverError):
 
 # A clause pick: the mask of the leaves it closes, and the ids of its instance.
 _Pick = tuple[int, frozenset[int]]
+# Per bit of a byte, the table that maps a byte to b"1" when it has the
+# bit set, else to b"0".
+_DIGITS = [(b"0" * (1 << bit) + b"1" * (1 << bit)) * (128 >> bit) for bit in range(8)]
+_WORD = (1 << 64) - 1
 # A per-solve cache on `Sehs`, outside its equality and repr.
 _cache = partial(field, default_factory=dict, init=False, repr=False, compare=False)
 
@@ -128,10 +135,10 @@ class Sehs:
 
     It derives, once each and on first use, everything a solve needs that
     does not depend on the matrix: the instance sequent (the reduced
-    representation), its leaf sequents (leaf i is bit i of every mask, in
-    no canonical order), one index of the leaves that hold each literal,
-    and each clause's picks.  The closure filters, the pools, the search,
-    the verifier and the balance test all read them from here."""
+    representation), its leaves as bit-mask pairs (leaf i is bit i of
+    every mask), one index of the leaves that hold each literal, and each
+    clause's picks.  The closure filters, the pools, the search, the
+    verifier and the balance test all read them from here."""
 
     problem: PrenexProblem
     grammar: SchematicPi2Grammar
@@ -146,25 +153,54 @@ class Sehs:
         return midsequent(self.problem, self.grammar)
 
     @cached_property
+    def leaf_masks(self) -> LeafMasks:
+        """The non-tautological leaves, as the leaf engine returns them."""
+        return partitioned_dnta(self)
+
+    @cached_property
     def leaves(self) -> tuple[Sequent, ...]:
-        """The non-tautological leaf sequents, in the engine's order."""
-        return tuple(partitioned_dnta(self))
+        """The leaves as sequents, in the engine's order; no solve reads them."""
+        return tuple(self.leaf_masks.sequents())
 
     @cached_property
     def all_leaves(self) -> int:
-        return (1 << len(self.leaves)) - 1
+        return (1 << len(self.leaf_masks.pairs)) - 1
 
     @cached_property
     def _holders(self) -> dict[int, int]:
         """Per literal id, the mask of the leaves that hold it (an antecedent
-        atom as ``+id``, a succedent atom as ``-id``), set bit by bit in one
-        byte row per id: OR-ing into an int would copy the mask per atom."""
-        rows = defaultdict(lambda: bytearray(len(self.leaves) // 8 + 1))
-        for idx, leaf in enumerate(self.leaves):
-            for sign, side in ((1, leaf.left), (-1, leaf.right)):
-                for n in map(self._atom_id, side):
-                    rows[sign * n][idx >> 3] |= 1 << (idx & 7)
-        return {n: int.from_bytes(row, "little") for n, row in rows.items()}
+        atom as ``+id``, a succedent atom as ``-id``).
+
+        Each 64 ranks of a side are laid out as one little-endian word per
+        leaf.  A rank's mask is the column of its byte, translated to one
+        ASCII digit per leaf for its bit and read in base 2 with leaf 0
+        last.  Every step is one pass in C over the leaves, so no mask is
+        copied per leaf or per atom."""
+        # Imported here, as only a solve needs it: it loads a shared library.
+        from array import array
+
+        masks = self.leaf_masks
+        formulas = masks.formulas
+        out: dict[int, int] = {}
+        if not masks.pairs:
+            return out
+        for sign, side in ((1, 0), (-1, 1)):
+            for first in range(0, len(formulas), 64):
+                words = array("Q", (pair[side] >> first & _WORD for pair in masks.pairs))
+                if sys.byteorder == "big":
+                    words.byteswap()
+                rows = words.tobytes()
+                for byte in range(8):
+                    column = rows[byte::8]
+                    low = first + 8 * byte
+                    for rank in range(low, min(low + 8, len(formulas))):
+                        f = formulas[rank]
+                        if type(f) is not Atom:
+                            continue
+                        held = int(column.translate(_DIGITS[rank & 7])[::-1], 2)
+                        if held:
+                            out[sign * self._atom_id(f)] = held
+        return out
 
     def holding(self, ids: Iterable[int]) -> int:
         """The mask of the leaves that hold one of the literals with these ids."""
@@ -257,12 +293,12 @@ def build_sehs(
     return Sehs(pb, g)
 
 
-def partitioned_dnta(sehs: Sehs) -> frozenset[Sequent]:
+def partitioned_dnta(sehs: Sehs) -> LeafMasks:
     """The non-tautological leaves of the maximal derivation of the
     reduced representation, as the leaf engine returns them.  No A/B/N
     split is stored (the closure tests read it from free variables); the
     name stays because ``perfbench/tracer.py`` times this stage under it."""
-    return non_tautological_leaves(sehs.reduced_representation)
+    return leaf_masks(sehs.reduced_representation)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +388,13 @@ def _leaf_literals(sehs: Sehs) -> tuple[set[Literal], frozenset[Literal]]:
     betas = frozenset(sehs.grammar.beta_vars())
     lefts: set[Literal] = set()
     rights: set[Literal] = set()
-    left_atoms = set().union(*(leaf.left for leaf in sehs.leaves))
-    right_atoms = set().union(*(leaf.right for leaf in sehs.leaves))
+    masks = sehs.leaf_masks
+    left_atoms = right_atoms = 0
+    for left, right in masks.pairs:
+        left_atoms |= left
+        right_atoms |= right
     for positive, atoms in ((True, left_atoms), (False, right_atoms)):
-        for atom in atoms:
+        for atom in masks.decode(atoms):
             vs = free_vars(atom)
             if ALPHA in vs or betas.isdisjoint(vs):
                 lefts.add(Literal(positive, atom))
@@ -442,8 +481,8 @@ def is_balanced(sehs: Sehs, clauses: ClauseSet) -> bool:
     the bridge: a cl vector (one clause per universal witness, its
     instance on the left) or a sol vector (one pick of p literals per
     clause, their alpha instances on the right).  Tautological leaves of
-    the reduced representation close on an end pair, so only
-    `Sehs.leaves` count.  A leaf closes on an end pair when a picked
+    the reduced representation close on an end pair, so only the leaf
+    engine's leaves count.  A leaf closes on an end pair when a picked
     instance meets one of its literals (the cl masks, and `holding` for
     the sol picks); otherwise it closes only on two picks that cancel."""
     _cut_matrix(clauses, SyntaxError_)

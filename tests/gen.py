@@ -15,7 +15,7 @@ import random
 
 from pi2cut.grammar import SchematicPi2Grammar
 from pi2cut.herbrand import PrenexProblem
-from pi2cut.solver import Sehs, build_sehs, partitioned_dnta
+from pi2cut.solver import Sehs, build_sehs
 from pi2cut.syntax import (
     ALPHA,
     And,
@@ -107,7 +107,7 @@ def random_sehs(rng: random.Random, rich: bool = False, max_leaves: int = 3) -> 
         grammar = SchematicPi2Grammar(SIG, f_tuples, g_tuples, r_terms, t_terms)
         try:
             sehs = build_sehs(pb, grammar)
-            leaves = partitioned_dnta(sehs)
+            leaves = sehs.leaf_masks.pairs
         except Exception:
             continue
         if 1 <= len(leaves) <= max_leaves:

@@ -21,6 +21,7 @@ from pi2cut.calculus import (
     STRONG_RULES,
     WEAK_RULES,
     ComplexityTriple,
+    LeafMasks,
     Node,
     _RULES,
     _candidates,
@@ -29,6 +30,7 @@ from pi2cut.calculus import (
     check_proof,
     complexities,
     is_tautology,
+    leaf_masks,
     maximal_derivation,
     non_tautological_leaves,
     premises_of,
@@ -55,6 +57,7 @@ from pi2cut.syntax import (
     X,
     Y,
     const,
+    formula_key,
 )
 
 a = const("a")
@@ -150,6 +153,57 @@ class TestNonTautologicalLeaves:
             non_tautological_leaves(Sequent.of([P(a)], [Exists("v", Q(Var("v")))]))
         with pytest.raises(SyntaxError_):
             non_tautological_leaves(Sequent.of([Not(ForAll("v", P(Var("v"))))], []))
+
+
+class TestLeafMasks:
+    """The mask engine that `non_tautological_leaves` decodes."""
+
+    @staticmethod
+    def reference_order(s: Sequent) -> tuple[Sequent, ...]:
+        """The non-tautological leaves of the full tree, in its leaf order,
+        each kept at its first place."""
+        leaves = (n.sequent for n in maximal_derivation(s).leaves() if n.rule == NON_TAUT_LEAF)
+        return tuple(dict.fromkeys(leaves))
+
+    def test_leaves_come_in_tree_order(self):
+        rng = random.Random(62_000)
+        cases = [random_sequent(rng) for _ in range(300)]
+        for n in range(2, 6):
+            sn = generate_sn(n)
+            cases.append(build_sehs(sn.problem, sn.grammar).reduced_representation)
+        for s in cases:
+            masks = leaf_masks(s)
+            assert list(masks.formulas) == sorted(masks.formulas, key=formula_key)
+            assert tuple(masks.sequents()) == self.reference_order(s)
+
+    def test_compound_on_both_sides(self):
+        # P(a) -> Q(b) is on both sides.  Its left copy is decomposed
+        # first and its right copy stays for a later step; dropping that
+        # copy would leave {P(c)} |- {P(a), Q(c)} and {P(c), Q(b)} |- {Q(c)}.
+        # Which copy goes first cannot change the leaves: a branch with one
+        # formula on both sides is valid, so every leaf below it closes.
+        f = Imp(P(a), Q(const("b")))
+        s = Sequent.of([f, P(const("c"))], [f, Q(const("c"))])
+        assert leaf_masks(s).pairs == ()
+        assert reference_leaves(s) == frozenset()
+
+    def test_subformula_already_on_its_side(self):
+        # The and-rule, canonically first, adds P(a) -> Q(b) to a left side
+        # that holds it already, so one imp-rule splits both.  Decomposing
+        # the implication first would split it twice and leave a third
+        # leaf, {P(c), Q(b)} |- {P(a)}.
+        b, c = const("b"), const("c")
+        f = Imp(P(a), Q(b))
+        s = Sequent.of([And(P(c), f), f], [])
+        masks = leaf_masks(s)
+        assert masks.formulas == (P(a), P(c), Q(b), And(P(c), f), f)
+        assert set(masks.sequents()) == reference_leaves(s) == {
+            Sequent.of([P(c)], [P(a)]),
+            Sequent.of([P(c), Q(b)], []),
+        }
+
+    def test_empty_sequent(self):
+        assert leaf_masks(Sequent.of([], [])) == LeafMasks((), ((0, 0),))
 
 
 class TestIsTautology:

@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -18,7 +18,7 @@ from fixtures import (
     y,
 )
 from gen import random_sehs, random_starting_set
-from pi2cut.calculus import is_tautology, tagged_leaves
+from pi2cut.calculus import is_tautology, leaf_masks, tagged_leaves
 from pi2cut.grammar import GStarSystem, HerbrandInstanceSet, reachable_literals
 from pi2cut.herbrand import (
     ExtendedHerbrandSequent,
@@ -40,7 +40,6 @@ from pi2cut.solver import (
     introduce_cut,
     is_balanced,
     naive_pool,
-    partitioned_dnta,
     sol_filter,
     verify_solution,
 )
@@ -48,6 +47,7 @@ from pi2cut.syntax import (
     ALPHA,
     App,
     Atom,
+    Literal,
     Sequent,
     SyntaxError_,
     Var,
@@ -151,7 +151,7 @@ class TestPartitionedDnta:
         a_part = frozenset({lit("P", alpha, t1(alpha)), lit("Q", alpha, t2(alpha))})
         b_parts = (frozenset({nlit("P", r, b1)}), frozenset({nlit("Q", r, b2)}))
         a_atoms = [l.atom for l in a_part]
-        assert partitioned_dnta(sehs) == {
+        assert set(sehs.leaves) == {
             Sequent.of(a_atoms, [l.atom for l in b]) for b in b_parts
         }
         assert {leaf_parts(sehs, leaf) for leaf in sehs.leaves} == {
@@ -176,7 +176,7 @@ class TestPartitionedDnta:
     def test_swap_pair_leaves(self):
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
-        leaves = partitioned_dnta(sehs)
+        leaves = sehs.leaves
         assert len(leaves) == 2
         r = const("r")
         b1 = Var("b1")
@@ -206,7 +206,7 @@ class TestPartitionedDnta:
             sig, ((alpha,),), ((Var("b1"),),), (const("r"),), (t1(alpha),)
         )
         sehs = build_sehs(pb, g)
-        assert partitioned_dnta(sehs) == frozenset()
+        assert sehs.leaf_masks.pairs == ()
 
     def test_benchmark_leaf_family_size(self):
         from pi2cut.benchmark import generate_sn
@@ -214,7 +214,7 @@ class TestPartitionedDnta:
         for n in (2, 3):
             sn = generate_sn(n)
             sehs = build_sehs(sn.problem, sn.grammar)
-            assert len(partitioned_dnta(sehs)) == n * (n - 1) * 2 ** (n - 1)
+            assert len(sehs.leaf_masks.pairs) == n * (n - 1) * 2 ** (n - 1)
 
     def test_benchmark_leaf_family_content(self):
         from pi2cut.benchmark import generate_sn
@@ -225,7 +225,7 @@ class TestPartitionedDnta:
         g = lambda t: App("g", (t,))
         fi = lambda i, t: App(f"f{i}", (t,))
         c, b1 = const("c"), Var("b1")
-        leaves = partitioned_dnta(sehs)
+        leaves = set(sehs.leaves)
         b_part = frozenset({nlit("P", c, f(b1)), nlit("P", c, g(b1))})
         expected = set()
         for i in (1, 2):
@@ -243,6 +243,29 @@ class TestPartitionedDnta:
             [l.atom for l in lits if l.positive], [l.atom for l in lits if not l.positive]
         )
         assert leaves == {view(a | b | n) for a, b, n in expected}
+
+
+def reference_holders(sehs) -> dict[int, int]:
+    """The literal-to-leaves index built from the decoded leaf sequents:
+    one byte row per literal id, set bit by bit."""
+    rows = defaultdict(lambda: bytearray(len(sehs.leaves) // 8 + 1))
+    for idx, leaf in enumerate(sehs.leaves):
+        for sign, side in ((1, leaf.left), (-1, leaf.right)):
+            for atom in side:
+                rows[sign * sehs.lit_id(Literal(True, atom))][idx >> 3] |= 1 << (idx & 7)
+    return {n: int.from_bytes(row, "little") for n, row in rows.items()}
+
+
+def test_holders_match_the_decoded_leaves():
+    from fixtures import PROBLEM_DIR, load
+    from pi2cut.benchmark import generate_sn
+
+    problems = [load(p.name) for p in sorted(PROBLEM_DIR.glob("*.p2"))]
+    problems += [generate_sn(n) for n in range(2, 8)]
+    assert len(problems) == 11
+    for pf in problems:
+        sehs = build_sehs(pf.problem, pf.grammar)
+        assert sehs._holders == reference_holders(sehs), pf.problem
 
 
 class TestAntiInstances:
@@ -290,7 +313,9 @@ class TestInAllowed:
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
         # A leaf without an alpha part admits no literal.
-        vars(sehs)["leaves"] = (Sequent.of([], [Atom("P", (const("r"), Var("b1")))]),)
+        leaf = Sequent.of([], [Atom("P", (const("r"), Var("b1")))])
+        vars(sehs)["leaf_masks"] = leaf_masks(leaf)
+        assert sehs.leaves == (leaf,)
         assert sehs.all_leaves == 1
         assert allowed_literals(sehs, 0) == []
 
@@ -763,6 +788,8 @@ class TestIntroduceCut:
         assert print_proof(first.proof, sig) == print_proof(second.proof, sig)
 
     def test_one_leaf_pass_per_solve(self, monkeypatch):
+        # The leaf engine runs once per solve, and the solve reads its
+        # masks only: no leaf is decoded into a sequent.
         import pi2cut.solver as solver
         from pi2cut.benchmark import generate_sn
 
@@ -778,6 +805,7 @@ class TestIntroduceCut:
             calls.clear()
             introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
             assert len(calls) == 1
+            assert "leaf_masks" in vars(calls[0]) and "leaves" not in vars(calls[0])
 
     def test_one_grammar_check_per_solve(self, monkeypatch):
         # `build_sehs` validates the grammar and the proof's extended
