@@ -2,7 +2,8 @@
 
 Exit codes: 0 solved / check passed, 1 no solution under the chosen pool,
 2 malformed or unreadable input or an unwritable proof file, 3 verification
-or proof-check failure.
+or proof-check failure, 141 the reader of the output closed it early (the
+status a shell gives a process that SIGPIPE ends).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -43,6 +45,7 @@ from .syntax import SyntaxError_, clause_set_to_sexp, formula_to_sexp
 
 INPUT_ERROR = 2
 CHECK_ERROR = 3
+CLOSED_OUTPUT = 141
 
 
 T = TypeVar("T")
@@ -267,7 +270,18 @@ def main(argv: list[str] | None = None) -> int:
         "bench-sn": _cmd_bench,
     }
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        # Output still buffered is written here, so that a reader that has
+        # gone shows up below and not in the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is left to the null device: the flush at exit then
+        # finds nothing to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_OUTPUT
     except VerificationFailure as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return CHECK_ERROR

@@ -22,6 +22,15 @@ rebuilt.  A principal that is not on that side, which the checker
 rejects, is written in full; the reader takes a formula in that place
 from any file, so files that write every principal in full read to the
 same tree.
+
+Every reader here cuts its text into one flat token list
+(`sexpr.Tokens`) and walks it by token index, building no object per
+list or atom.  Terms, formulas, signatures and problem sections are read
+by one set of functions for all three formats.  The proof reader is one
+explicit-stack walk over the nodes: it reads each distinct formula text
+once, and rebuilds a conclusion's premise sequents through
+`calculus.premise_sequents` at most once.  An error's line and column
+are worked out only when it is raised.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from . import calculus
 from .calculus import Node
 from .grammar import HerbrandInstanceSet, SchematicPi2Grammar, validate
 from .herbrand import PrenexProblem
-from .sexpr import ParseError, SAtom, SList, SNode, expect_atom, expect_list, head_of, parse_all
+from .sexpr import ParseError, SNode, Tokens
 from .syntax import (
     ALPHA,
     And,
@@ -74,88 +83,101 @@ class ProblemFile:
 
 # ---------------------------------------------------------------------------
 # Terms and formulas
+#
+# Each reader takes a token list and the index of the form's first token.
 
 
-def parse_term(node: SNode, sig: Signature, variables: set[str] | None) -> Term:
+def _term(src: Tokens, index: int, sig: Signature, variables: set[str] | None) -> Term:
     """`variables` of None admits any non-function identifier as a variable.
     Read with an explicit stack, so that deeply nested terms (a long
     successor chain, say) do not exhaust the call stack; an application
     is built once all its arguments are."""
+    tokens = src.tokens
     built: list[Term] = []
-    stack: list[SNode | tuple[SAtom, int, int]] = [node]
+    stack: list[int | tuple[int, int, int]] = [index]
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
             head, arity, count = item
+            name = tokens[head]
             if count != arity:
-                msg = f"{head.value} expects {arity} arguments, got {count}"
-                raise ParseError(msg, head.line, head.col)
+                msg = f"{name} expects {arity} arguments, got {count}"
+                raise ParseError(msg, *src.position(head))
             args = tuple(built[len(built) - count :])
             del built[len(built) - count :]
-            built.append(App(head.value, args))
-        elif isinstance(item, SAtom):
-            name = item.value
+            built.append(App(name, args))
+            continue
+        name = tokens[item]
+        if name != "(":
             if name in sig.functions:
                 if sig.functions[name] != 0:
-                    raise ParseError(f"{name} expects arguments", item.line, item.col)
+                    raise ParseError(f"{name} expects arguments", *src.position(item))
                 built.append(App(name, ()))
             elif variables is None or name in variables:
                 built.append(Var(name))
             else:
-                raise ParseError(f"unknown identifier '{name}'", item.line, item.col)
-        else:
-            if not item.items:
-                raise ParseError("empty term", item.line, item.col)
-            head = expect_atom(item.items[0], "function symbol")
-            arity = sig.functions.get(head.value)
-            if arity is None:
-                raise ParseError(f"unknown function symbol '{head.value}'", head.line, head.col)
-            args = item.items[1:]
-            stack.append((head, arity, len(args)))
-            stack.extend(reversed(args))
+                raise ParseError(f"unknown identifier '{name}'", *src.position(item))
+            continue
+        if tokens[item + 1] == ")":
+            raise ParseError("empty term", *src.position(item))
+        name = src.atom(item + 1, "function symbol")
+        arity = sig.functions.get(name)
+        if arity is None:
+            raise ParseError(f"unknown function symbol '{name}'", *src.position(item + 1))
+        args = list(src.tail(item))
+        stack.append((item + 1, arity, len(args)))
+        stack.extend(reversed(args))
     return built[0]
 
 
 _CONNECTIVES = {"and": And, "or": Or, "imp": Imp}
 
 
-def parse_formula(node: SNode, sig: Signature, variables: set[str] | None) -> Formula:
-    lst = expect_list(node, "formula")
-    head = head_of(lst, "formula")
-    items = lst.items
+def _formula(src: Tokens, index: int, sig: Signature, variables: set[str] | None) -> Formula:
+    head = src.head(index, "formula")
     if head in _CONNECTIVES:
-        if len(items) != 3:
-            raise ParseError(f"{head} takes two formulas", lst.line, lst.col)
+        if src.length(index) != 3:
+            raise ParseError(f"{head} takes two formulas", *src.position(index))
+        first = index + 2
         return _CONNECTIVES[head](
-            parse_formula(items[1], sig, variables), parse_formula(items[2], sig, variables)
+            _formula(src, first, sig, variables),
+            _formula(src, src.close[first] + 1, sig, variables),
         )
     if head == "not":
-        if len(items) != 2:
-            raise ParseError("not takes one formula", lst.line, lst.col)
-        return Not(parse_formula(items[1], sig, variables))
+        if src.length(index) != 2:
+            raise ParseError("not takes one formula", *src.position(index))
+        return Not(_formula(src, index + 2, sig, variables))
     if head in ("forall", "exists"):
-        if len(items) != 3:
-            raise ParseError(f"{head} takes a variable and a formula", lst.line, lst.col)
-        v = expect_atom(items[1], "variable").value
+        if src.length(index) != 3:
+            raise ParseError(f"{head} takes a variable and a formula", *src.position(index))
+        v = src.atom(index + 2, "variable")
         inner = set(variables) | {v} if variables is not None else None
-        body = parse_formula(items[2], sig, inner)
+        body = _formula(src, index + 3, sig, inner)
         return ForAll(v, body) if head == "forall" else Exists(v, body)
     arity = sig.predicates.get(head)
     if arity is None:
-        raise ParseError(f"unknown predicate symbol '{head}'", lst.line, lst.col)
-    args = tuple(parse_term(a, sig, variables) for a in items[1:])
+        raise ParseError(f"unknown predicate symbol '{head}'", *src.position(index))
+    args = tuple(_term(src, i, sig, variables) for i in src.tail(index))
     if len(args) != arity:
-        raise ParseError(f"{head} expects {arity} arguments, got {len(args)}", lst.line, lst.col)
+        msg = f"{head} expects {arity} arguments, got {len(args)}"
+        raise ParseError(msg, *src.position(index))
     return Atom(head, args)
 
 
-def parse_literal(node: SNode, sig: Signature, variables: set[str] | None) -> Literal:
-    f = parse_formula(node, sig, variables)
+def parse_formula(node: SNode, sig: Signature, variables: set[str] | None) -> Formula:
+    """The formula written by the form `node`; `variables` of None admits
+    any non-function identifier as a variable.  Formulas are read
+    recursively."""
+    return _formula(node.src, node.index, sig, variables)
+
+
+def _literal(src: Tokens, index: int, sig: Signature, variables: set[str] | None) -> Literal:
+    f = _formula(src, index, sig, variables)
     if isinstance(f, Atom):
         return Literal(True, f)
     if isinstance(f, Not) and isinstance(f.sub, Atom):
         return Literal(False, f.sub)
-    raise ParseError("expected a literal", node.line, node.col)
+    raise ParseError("expected a literal", *src.position(index))
 
 
 # ---------------------------------------------------------------------------
@@ -163,51 +185,52 @@ def parse_literal(node: SNode, sig: Signature, variables: set[str] | None) -> Li
 
 
 def _tuple_of(
-    node: SNode, sig: Signature, variables: set[str], block: tuple[str, ...], start: int = 0
+    src: Tokens, index: int, sig: Signature, variables: set[str], block: tuple[str, ...],
+    start: int = 0,
 ) -> tuple[Term, ...]:
     """The terms of a list from item `start` on, one per variable of the block."""
-    lst = expect_list(node, "term tuple")
-    items = lst.items[start:]
+    src.expect_list(index, "term tuple")
+    items = list(src.items(index + 1, src.close[index]))[start:]
     if len(items) != len(block):
         msg = f"expected {len(block)} term(s), one per variable of ({' '.join(block)}), got {len(items)}"
-        raise ParseError(msg, lst.line, lst.col)
-    return tuple(parse_term(t, sig, variables) for t in items)
+        raise ParseError(msg, *src.position(index))
+    return tuple(_term(src, i, sig, variables) for i in items)
 
 
-def _number(token: SAtom, what: str) -> int:
-    """The natural number that `token` writes in decimal; `what` names it
-    in the error if it writes none."""
-    digits = token.value
+def _number(src: Tokens, index: int, what: str) -> int:
+    """The natural number that the atom at token `index` writes in
+    decimal; `what` names it in the error if it writes none."""
+    digits = src.atom(index, what)
     # str.isdigit alone admits digits such as '²' that int() rejects.
     if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(f"{what} must be a number: {digits}", token.line, token.col)
+        raise ParseError(f"{what} must be a number: {digits}", *src.position(index))
     try:
         return int(digits)
     except ValueError:  # more digits than int() converts
-        raise ParseError(f"{what} too large", token.line, token.col) from None
+        raise ParseError(f"{what} too large", *src.position(index)) from None
 
 
-def _parse_signature(lst: SList) -> Signature:
+def _parse_signature(src: Tokens, index: int) -> Signature:
     """The `(signature (fun name arity) (pred name arity) ...)` section
-    shared by problem and proof files."""
+    shared by problem and proof files, at token `index`."""
     functions: dict[str, int] = {}
     predicates: dict[str, int] = {}
-    for item in lst.items[1:]:
-        decl = expect_list(item, "symbol declaration")
-        kind = head_of(decl, "fun or pred")
-        if kind not in ("fun", "pred") or len(decl.items) != 3:
-            raise ParseError("expected (fun name arity) or (pred name arity)", decl.line, decl.col)
-        name = expect_atom(decl.items[1], "symbol name").value
-        arity = _number(expect_atom(decl.items[2], "arity"), "arity")
+    for decl in src.tail(index):
+        kind = src.head(decl, "symbol declaration", "fun or pred")
+        if kind not in ("fun", "pred") or src.length(decl) != 3:
+            msg = "expected (fun name arity) or (pred name arity)"
+            raise ParseError(msg, *src.position(decl))
+        name = src.atom(decl + 2, "symbol name")
+        arity = _number(src, decl + 3, "arity")
         if is_reserved(name):
-            raise ParseError(f"reserved name '{name}' may not be declared", decl.line, decl.col)
+            raise ParseError(f"reserved name '{name}' may not be declared", *src.position(decl))
         if name in functions or name in predicates:
-            raise ParseError(f"symbol '{name}' declared twice", decl.line, decl.col)
+            raise ParseError(f"symbol '{name}' declared twice", *src.position(decl))
         (functions if kind == "fun" else predicates)[name] = arity
     try:
         return Signature(functions, predicates)
     except SyntaxError_ as e:
-        raise ParseError(str(e), lst.line, lst.col)
+        raise ParseError(str(e), *src.position(index))
 
 
 def _print_signature(sig: Signature, pad: str) -> list[str]:
@@ -221,21 +244,21 @@ def _print_signature(sig: Signature, pad: str) -> list[str]:
 
 
 def _named_lists(
-    nodes: Iterable[SNode], what: str, sizes: dict[str, int | None]
-) -> dict[str, SList]:
-    """Lists keyed by their head, each head a key of `sizes` and used once.
-    A list has `sizes[head]` items, head included, unless that is None."""
-    out: dict[str, SList] = {}
-    for node in nodes:
-        lst = expect_list(node, what)
-        head = head_of(lst, what)
+    src: Tokens, items: Iterable[int], what: str, sizes: dict[str, int | None]
+) -> dict[str, int]:
+    """The first token of each list of `items`, keyed by its head, each
+    head a key of `sizes` and used once.  A list has `sizes[head]` items,
+    head included, unless that is None."""
+    out: dict[str, int] = {}
+    for i in items:
+        head = src.head(i, what)
         if head not in sizes or head in out:
             kind = "duplicate" if head in out else "unknown"
-            raise ParseError(f"{kind} {what} '{head}'", lst.line, lst.col)
+            raise ParseError(f"{kind} {what} '{head}'", *src.position(i))
         size = sizes[head]
-        if size is not None and len(lst.items) != size:
-            raise ParseError(f"({head} ...) takes {size - 1} item(s)", lst.line, lst.col)
-        out[head] = lst
+        if size is not None and src.length(i) != size:
+            raise ParseError(f"({head} ...) takes {size - 1} item(s)", *src.position(i))
+        out[head] = i
     return out
 
 
@@ -245,19 +268,22 @@ _GRAMMAR_PARTS = dict.fromkeys(("f-tuples", "g-tuples", "r-terms", "t-terms"))
 
 
 def parse_problem(text: str) -> ProblemFile:
-    sections = _named_lists(parse_all(text), "section", {**_SECTIONS, "herbrand-terms": None})
+    src = Tokens(text)
+    sections = _named_lists(
+        src, src.items(0, len(src.tokens)), "section", {**_SECTIONS, "herbrand-terms": None}
+    )
     for required in _SECTIONS:
         if required not in sections:
             raise ParseError(f"missing section '{required}'", 1, 1)
 
-    sig = _parse_signature(sections["signature"])
+    sig = _parse_signature(src, sections["signature"])
 
     def var_block(name: str) -> tuple[str, ...]:
         out = []
-        for item in sections[name].items[1:]:
-            v = expect_atom(item, "variable").value
+        for i in src.tail(sections[name]):
+            v = src.atom(i, "variable")
             if is_reserved(v) or v in sig.functions or v in sig.predicates:
-                raise ParseError(f"'{v}' cannot be a quantified variable", item.line, item.col)
+                raise ParseError(f"'{v}' cannot be a quantified variable", *src.position(i))
             out.append(v)
         return tuple(out)
 
@@ -266,42 +292,41 @@ def parse_problem(text: str) -> ProblemFile:
 
     def matrix(name: str, block: tuple[str, ...]) -> Formula:
         # The one `PrenexProblem` check the reading above leaves open.
-        node = sections[name].items[1]
-        f = parse_formula(node, sig, set(block))
+        i = sections[name] + 2
+        f = _formula(src, i, sig, set(block))
         if not is_quantifier_free(f):
-            raise ParseError("matrices must be quantifier-free", node.line, node.col)
+            raise ParseError("matrices must be quantifier-free", *src.position(i))
         return f
 
     antecedent = matrix("antecedent", forall_vars)
     succedent = matrix("succedent", exists_vars)
     problem = PrenexProblem(sig, forall_vars, exists_vars, antecedent, succedent)
 
-    gsec = sections["grammar"]
-    parts = _named_lists(gsec.items[1:], "grammar part", _GRAMMAR_PARTS)
+    g = sections["grammar"]
+    parts = _named_lists(src, src.tail(g), "grammar part", _GRAMMAR_PARTS)
     for required in _GRAMMAR_PARTS:
         if required not in parts:
-            raise ParseError(f"grammar is missing '{required}'", gsec.line, gsec.col)
-    r_nodes = parts["r-terms"].items[1:]
-    betas = {beta(j) for j in range(1, len(r_nodes) + 1)}
-    f_tuples = tuple(_tuple_of(t, sig, {ALPHA}, forall_vars) for t in parts["f-tuples"].items[1:])
-    g_tuples = tuple(_tuple_of(t, sig, betas, exists_vars) for t in parts["g-tuples"].items[1:])
-    r_terms = tuple(parse_term(t, sig, betas) for t in r_nodes)
-    t_terms = tuple(parse_term(t, sig, {ALPHA}) for t in parts["t-terms"].items[1:])
+            raise ParseError(f"grammar is missing '{required}'", *src.position(g))
+    r_items = list(src.tail(parts["r-terms"]))
+    betas = {beta(j) for j in range(1, len(r_items) + 1)}
+    f_tuples = tuple(_tuple_of(src, i, sig, {ALPHA}, forall_vars) for i in src.tail(parts["f-tuples"]))
+    g_tuples = tuple(_tuple_of(src, i, sig, betas, exists_vars) for i in src.tail(parts["g-tuples"]))
+    r_terms = tuple(_term(src, i, sig, betas) for i in r_items)
+    t_terms = tuple(_term(src, i, sig, {ALPHA}) for i in src.tail(parts["t-terms"]))
     grammar = SchematicPi2Grammar(sig, f_tuples, g_tuples, r_terms, t_terms)
     violations = validate(grammar)
     if violations:
-        raise ParseError("; ".join(violations), gsec.line, gsec.col)
+        raise ParseError("; ".join(violations), *src.position(g))
 
     herbrand = None
     if "herbrand-terms" in sections:
         wrapped: dict[str, list[tuple[Term, ...]]] = {"hF": [], "hG": []}
-        for item in sections["herbrand-terms"].items[1:]:
-            lst = expect_list(item, "wrapped term")
-            kind = head_of(lst, "hF or hG")
+        for i in src.tail(sections["herbrand-terms"]):
+            kind = src.head(i, "wrapped term", "hF or hG")
             if kind not in wrapped:
-                raise ParseError("wrapped terms start with hF or hG", lst.line, lst.col)
+                raise ParseError("wrapped terms start with hF or hG", *src.position(i))
             block = forall_vars if kind == "hF" else exists_vars
-            wrapped[kind].append(_tuple_of(lst, sig, set(), block, start=1))
+            wrapped[kind].append(_tuple_of(src, i, sig, set(), block, start=1))
         herbrand = HerbrandInstanceSet(wrapped["hF"], wrapped["hG"])
 
     return ProblemFile(problem, grammar, herbrand)
@@ -340,7 +365,8 @@ def parse_starting_set(text: str, sig: Signature) -> frozenset[Clause]:
         if not stripped:
             continue
         try:
-            lits = [parse_literal(n, sig, {X, Y}) for n in parse_all(stripped)]
+            src = Tokens(stripped)
+            lits = [_literal(src, i, sig, {X, Y}) for i in src.items(0, len(src.tokens))]
         except ParseError as e:
             # Each line is read on its own; report the position in the file.
             lead = len(raw) - len(raw.lstrip())
@@ -451,145 +477,121 @@ _NODE_PARTS = {"rule": 2, "principal": 3, "witness": 2, "eigen": 2, "keep": 1, "
 _SIDES = {calculus.LEFT: None, calculus.RIGHT: None}
 
 
-def _proof_formula(node: SNode, sig: Signature, memo: dict[str, Formula]) -> Formula:
-    """A proof formula, parsed once per distinct source text.  Proof
-    formulas are read with no variable list under one signature, so the
-    result depends on the text alone, and a text in `memo` has already
-    parsed without error.  Equal formulas come back as one object."""
-    if not isinstance(node, SList):
-        return parse_formula(node, sig, None)
-    key = node.text
-    formula = memo.get(key)
-    if formula is None:
-        formula = memo[key] = parse_formula(node, sig, None)
-    return formula
-
-
-def _read_node(
-    node: SNode, sig: Signature, memo: dict[str, Formula]
-) -> tuple[dict[str, object], tuple[SNode, ...], tuple[str, int, SAtom] | None]:
-    """The fields of one proof node, its sequent None if it has none, the
-    forms of its premises and, if the principal is written as an index,
-    its side, that index and its token; the principal field is then None
-    until `_referenced` resolves it against the node's sequent."""
-    lst = expect_list(node, "proof node")
-    if head_of(lst, "node") != "node":
-        raise ParseError("expected (node ...)", lst.line, lst.col)
-    parts = _named_lists(lst.items[1:], "node part", _NODE_PARTS)
-    if "rule" not in parts:
-        raise ParseError("node needs a rule", lst.line, lst.col)
-    rule = expect_atom(parts["rule"].items[1], "rule name").value
-    if rule not in calculus.RULES:
-        raise ParseError(f"unknown rule '{rule}'", parts["rule"].line, parts["rule"].col)
-    principal, witness, eigen, cut, sequent = map(
-        parts.get, ("principal", "witness", "eigen", "cut-formula", "sequent")
-    )
-    if sequent is not None:
-        sides = _named_lists(sequent.items[1:], "sequent side", _SIDES)
-        left, right = sides.get(calculus.LEFT), sides.get(calculus.RIGHT)
-        sequent = Sequent.of(
-            [_proof_formula(f, sig, memo) for f in left.items[1:]] if left else (),
-            [_proof_formula(f, sig, memo) for f in right.items[1:]] if right else (),
-        )
-    side = formula = ref = None
-    if principal:
-        side_tok, slot = expect_atom(principal.items[1], "side"), principal.items[2]
-        side = side_tok.value
-        if isinstance(slot, SAtom):
-            if side not in _SIDES:
-                msg = f"a principal index needs side left or right, not '{side}'"
-                raise ParseError(msg, side_tok.line, side_tok.col)
-            ref = (side, _number(slot, "principal index"), slot)
-        else:
-            formula = _proof_formula(slot, sig, memo)
-    fields = dict(
-        rule=rule,
-        sequent=sequent,
-        side=side,
-        principal=formula,
-        witness=parse_term(witness.items[1], sig, None) if witness else None,
-        eigen=expect_atom(eigen.items[1], "eigenvariable").value if eigen else None,
-        keep="keep" in parts,
-        cut_formula=_proof_formula(cut.items[1], sig, memo) if cut else None,
-    )
-    premises = parts.get("premises")
-    return fields, premises.items[1:] if premises else (), ref
-
-
-def _referenced(sequent: Sequent, side: str, index: int, token: SAtom) -> Formula:
+def _referenced(sequent: Sequent, side: str, index: int, src: Tokens, at: int) -> Formula:
     """Formula `index` of side `side` of `sequent`, counted in the order
-    `print_sequent` writes that side."""
+    `print_sequent` writes that side; the index is written at token `at`."""
     formulas = _side_of(sequent, side)
     if index >= len(formulas):
         held = len(formulas)
         msg = f"principal index {index} is past the {side} side, which holds {held} formula(s)"
-        raise ParseError(msg, token.line, token.col)
+        raise ParseError(msg, *src.position(at))
     return sorted(formulas, key=formula_key)[index]
-
-
-class _Read:
-    """A node read but not yet built: its fields, its premise count and,
-    once a premise without a sequent asks for them, the premise sequents
-    that its rule data fixes."""
-
-    __slots__ = ("fields", "count", "fixed")
-
-    def __init__(self, fields: dict[str, object], count: int) -> None:
-        self.fields = fields
-        self.count = count
-        self.fixed: tuple[Sequent, ...] | str | None = None
-
-    def premise(self, index: int, form: SNode) -> Sequent:
-        """The sequent of premise `index`, read from `form`, which has none."""
-        if self.fixed is None:
-            node = Node(**self.fields)  # type: ignore[arg-type]
-            self.fixed = calculus.premise_sequents(node, self.count)
-        if isinstance(self.fixed, str):
-            raise ParseError(f"premise needs a sequent: {self.fixed}", form.line, form.col)
-        return self.fixed[index]
-
-
-def _parse_node(root: SNode, sig: Signature, memo: dict[str, Formula]) -> Node:
-    """A proof tree, read with an explicit stack so that deep proofs do not
-    exhaust the call stack.  A node is read after its conclusion: if it
-    has no sequent, it takes the one that the conclusion's rule data fixes
-    at its position.  A node is built once all its premises are."""
-    built: list[Node] = []
-    stack: list[tuple[SNode, _Read | None, int] | _Read] = [(root, None, 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, _Read):
-            count = item.count
-            premises = tuple(built[len(built) - count :])
-            del built[len(built) - count :]
-            built.append(Node(premises=premises, **item.fields))  # type: ignore[arg-type]
-            continue
-        form, conclusion, index = item
-        fields, forms, ref = _read_node(form, sig, memo)
-        if fields["sequent"] is None:
-            if conclusion is None:
-                raise ParseError("the root node needs a sequent", form.line, form.col)
-            fields["sequent"] = conclusion.premise(index, form)
-        if ref is not None:
-            fields["principal"] = _referenced(fields["sequent"], *ref)  # type: ignore[arg-type]
-        read = _Read(fields, len(forms))
-        stack.append(read)
-        stack.extend((f, read, i) for i, f in reversed(list(enumerate(forms))))
-    return built[0]
 
 
 def parse_proof(text: str) -> tuple[Node, Signature]:
     """The proof tree and signature of a proof file.  A node without a
     sequent takes the one that its conclusion's rule data fixes; a file
-    that writes every sequent reads to the same tree."""
-    nodes = parse_all(text)
-    if len(nodes) != 1:
+    that writes every sequent reads to the same tree.
+
+    The file is one flat token list, walked with an explicit stack so that
+    deep proofs do not exhaust the call stack.  Node parts, sequent sides,
+    principal indexes and premises are found by token index; formulas and
+    witness terms go to the readers that problem files use.  A formula is
+    read once per distinct token sequence: proof formulas are read with no
+    variable list under one signature, so the result depends on the
+    tokens alone, and equal formulas come back as one object.  A node is
+    read after its conclusion, and built once all its premises are."""
+    src = Tokens(text)
+    tokens, close = src.tokens, src.close
+    if not tokens or close[0] != len(tokens) - 1:
         raise ParseError("expected a single (proof ...) form", 1, 1)
-    lst = expect_list(nodes[0], "proof")
-    if head_of(lst, "proof") != "proof" or len(lst.items) != 3:
-        raise ParseError("expected (proof (signature ...) (node ...))", lst.line, lst.col)
-    sig_list = expect_list(lst.items[1], "signature")
-    if head_of(sig_list, "signature") != "signature":
-        raise ParseError("expected (signature ...)", sig_list.line, sig_list.col)
-    sig = _parse_signature(sig_list)
-    return _parse_node(lst.items[2], sig, {}), sig
+    if src.head(0, "proof") != "proof" or src.length(0) != 3:
+        raise ParseError("expected (proof (signature ...) (node ...))", *src.position(0))
+    if src.head(2, "signature") != "signature":
+        raise ParseError("expected (signature ...)", *src.position(2))
+    sig = _parse_signature(src, 2)
+
+    formulas: dict[tuple[str, ...], Formula] = {}
+
+    def formula(i: int) -> Formula:
+        key = tuple(tokens[i : close[i] + 1])
+        found = formulas.get(key)
+        if found is None:
+            found = formulas[key] = parse_formula(SNode(src, i), sig, None)
+        return found
+
+    built: list[Node] = []
+    # An entry is a node to read: its first token, and the record of its
+    # conclusion with its place among that node's premises.  A record holds
+    # a node's rule, its sequent, its other fields in `Node` order, its
+    # premise count and, once a premise without a sequent asks for them,
+    # the premise sequents that its rule data fixes.  Popping the record
+    # builds the node from the premises built last.
+    stack: list[tuple[int, list | None, int] | list] = [(close[2] + 1, None, 0)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            rule, sequent, fields, count, _ = entry
+            premises = tuple(built[len(built) - count :])
+            del built[len(built) - count :]
+            built.append(Node(rule, sequent, premises, *fields))
+            continue
+        i, conclusion, place = entry
+        if src.head(i, "proof node", "node") != "node":
+            raise ParseError("expected (node ...)", *src.position(i))
+        parts = _named_lists(src, src.tail(i), "node part", _NODE_PARTS)
+        if "rule" not in parts:
+            raise ParseError("node needs a rule", *src.position(i))
+        rule = src.atom(parts["rule"] + 2, "rule name")
+        if rule not in calculus.RULES:
+            raise ParseError(f"unknown rule '{rule}'", *src.position(parts["rule"]))
+
+        sequent = None
+        if "sequent" in parts:
+            sides = _named_lists(src, src.tail(parts["sequent"]), "sequent side", _SIDES)
+            left, right = (
+                [formula(f) for f in src.tail(sides[side])] if side in sides else ()
+                for side in _SIDES
+            )
+            sequent = Sequent.of(left, right)
+        side = principal = number = None
+        if "principal" in parts:
+            k = parts["principal"] + 2
+            side = src.atom(k, "side")
+            if tokens[k + 1] == "(":
+                principal = formula(k + 1)
+            elif side not in _SIDES:
+                msg = f"a principal index needs side left or right, not '{side}'"
+                raise ParseError(msg, *src.position(k))
+            else:
+                number = _number(src, k + 1, "principal index")
+        witness = eigen = cut = None
+        if "witness" in parts:
+            witness = _term(src, parts["witness"] + 2, sig, None)
+        if "eigen" in parts:
+            eigen = src.atom(parts["eigen"] + 2, "eigenvariable")
+        if "cut-formula" in parts:
+            cut = formula(parts["cut-formula"] + 2)
+
+        if sequent is None:
+            if conclusion is None:
+                raise ParseError("the root node needs a sequent", *src.position(i))
+            if conclusion[4] is None:
+                c_rule, c_sequent, c_fields, count, _ = conclusion
+                node = Node(c_rule, c_sequent, (), *c_fields)
+                conclusion[4] = calculus.premise_sequents(node, count)
+            fixed = conclusion[4]
+            if isinstance(fixed, str):
+                raise ParseError(f"premise needs a sequent: {fixed}", *src.position(i))
+            sequent = fixed[place]
+        if number is not None:
+            principal = _referenced(sequent, side, number, src, parts["principal"] + 3)  # type: ignore[arg-type]
+        fields = (principal, side, witness, eigen, "keep" in parts, cut)
+        forms = list(src.tail(parts["premises"])) if "premises" in parts else ()
+        if forms:
+            record = [rule, sequent, fields, len(forms), None]
+            stack.append(record)
+            stack.extend((f, record, n) for n, f in reversed(list(enumerate(forms))))
+        else:
+            built.append(Node(rule, sequent, (), *fields))
+    return built[0], sig

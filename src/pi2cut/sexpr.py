@@ -1,27 +1,30 @@
-"""Minimal s-expression reader with source positions.
+"""Minimal s-expression tokenizer with source positions.
 
 Atoms are bare tokens, lists are parenthesised; ``;`` starts a comment
 running to the end of the line.  Only space, tab, CR and LF separate
 tokens.  Lines are counted at LF, and every other character is one
 column.
 
-The reader cuts the whole text into pieces with one regular expression
-and matches the parentheses in one pass, without recursion.  A list
-builds its items the first time they are read, so a caller that skips a
-list (by its source text, say) never pays for the nodes inside it.
-Positions are worked out only when asked for.
+`Tokens` cuts a text into a flat list of tokens with one regular
+expression and matches the parentheses by index in one pass, without
+recursion: each token knows the index of the last token of its form.
+The readers walk that list by index, so no object is built per list or
+atom.  A form is named by the index of its first token; `SNode` pairs
+that index with its token list where a form is handed on as a value.  A
+token's line and column are worked out only for an error, by cutting the
+text again up to that token.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from itertools import islice
+from typing import Iterator, NamedTuple
 
-# A piece is a parenthesis, an atom or a comment with the separators that
-# follow it, or the separators that open the text.  The pieces cover the
-# text exactly, so their lengths give their offsets.
-_SEPARATORS = " \t\r\n"
-_PIECE = re.compile(r"[ \t\r\n]+|(?:[()]|;[^\n]*|[^ \t\r\n();]+)[ \t\r\n]*")
+# A token is a parenthesis or an atom, matched with the separators before
+# it.  Comments are blanked out first.
+_TOKEN = re.compile(r"[ \t\r\n]*([()]|[^ \t\r\n();]+)")
+_COMMENT = re.compile(r";[^\n]*")
 
 
 class ParseError(Exception):
@@ -32,23 +35,24 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Source:
-    """One text cut into pieces: each piece's offset and, for each `(`,
-    the index of its `)`."""
+class Tokens:
+    """One text cut into tokens, and for each token the index of the last
+    token of its form: a `(` closes at its `)`, an atom at itself."""
 
-    __slots__ = ("text", "pieces", "starts", "close")
+    __slots__ = ("text", "tokens", "close")
 
     def __init__(self, text: str):
+        if ";" in text:
+            # Each comment turns into as many spaces, so offsets hold.
+            text = _COMMENT.sub(lambda m: " " * len(m.group()), text)
         self.text = text
-        self.pieces = pieces = _PIECE.findall(text)
-        self.starts = list(accumulate(map(len, pieces), initial=0))
-        self.close = close = [0] * len(pieces)
+        self.tokens = tokens = _TOKEN.findall(text)
+        self.close = close = list(range(len(tokens)))
         stack: list[int] = []
-        for i, piece in enumerate(pieces):
-            first = piece[0]
-            if first == "(":
+        for i, token in enumerate(tokens):
+            if token == "(":
                 stack.append(i)
-            elif first == ")":
+            elif token == ")":
                 if not stack:
                     raise ParseError("unmatched ')'", *self.position(i))
                 close[stack.pop()] = i
@@ -56,108 +60,67 @@ class _Source:
             raise ParseError("unclosed '('", *self.position(stack[-1]))
 
     def position(self, index: int) -> tuple[int, int]:
-        offset = self.starts[index]
+        """The line and column at which token `index` starts."""
         text = self.text
+        offset = next(islice(_TOKEN.finditer(text), index, None)).start(1)
         return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def nodes(self, start: int, end: int) -> list[SNode]:
-        """The nodes of the pieces start..end-1, lists unbuilt."""
-        pieces, close = self.pieces, self.close
-        out: list[SNode] = []
-        i = start
+    def items(self, start: int, end: int) -> Iterator[int]:
+        """The first token of each form from token `start` up to token
+        `end`: the `)` of the list that holds them, or the end of the text."""
+        close = self.close
+        while start < end:
+            yield start
+            start = close[start] + 1
+
+    def tail(self, index: int) -> Iterator[int]:
+        """The first token of each item but the first of the list at token
+        `index`, whose first item is an atom."""
+        return self.items(index + 2, self.close[index])
+
+    def length(self, index: int) -> int:
+        """The number of items of the list at token `index`."""
+        close = self.close
+        count, i, end = 0, index + 1, close[index]
         while i < end:
-            piece = pieces[i]
-            first = piece[0]
-            if first == "(":
-                out.append(SList(self, i))
-                i = close[i] + 1
-            else:
-                if first != ";" and first not in _SEPARATORS:
-                    out.append(SAtom(piece.rstrip(_SEPARATORS), self, i))
-                i += 1
-        return out
+            count += 1
+            i = close[i] + 1
+        return count
+
+    def expect_list(self, index: int, what: str) -> None:
+        token = self.tokens[index]
+        if token != "(":
+            raise ParseError(f"expected {what}, got atom '{token}'", *self.position(index))
+
+    def atom(self, index: int, what: str) -> str:
+        token = self.tokens[index]
+        if token == "(":
+            raise ParseError(f"expected {what}, got a list", *self.position(index))
+        return token
+
+    def head(self, index: int, what: str, keyword: str | None = None) -> str:
+        """The atom that opens the list at token `index`, which stands
+        where `what` is expected; `keyword` names that atom in the errors,
+        `what` by default."""
+        self.expect_list(index, what)
+        head = self.tokens[index + 1]
+        if head == ")":
+            msg = f"empty list where {keyword or what} was expected"
+            raise ParseError(msg, *self.position(index))
+        if head == "(":
+            msg = f"expected {keyword or what} keyword, got a list"
+            raise ParseError(msg, *self.position(index + 1))
+        return head
 
 
-class _Node:
-    __slots__ = ("_src", "_index")
+class SNode(NamedTuple):
+    """The form that starts at token `index` of `src`."""
 
-    _src: _Source
-    _index: int
-
-    @property
-    def line(self) -> int:
-        return self._src.position(self._index)[0]
-
-    @property
-    def col(self) -> int:
-        return self._src.position(self._index)[1]
-
-
-class SAtom(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: str, src: _Source, index: int):
-        self.value = value
-        self._src = src
-        self._index = index
-
-    def __repr__(self) -> str:
-        return f"SAtom({self.value!r})"
-
-
-class SList(_Node):
-    __slots__ = ("_items",)
-
-    def __init__(self, src: _Source, index: int):
-        self._src = src
-        self._index = index
-        self._items: tuple[SNode, ...] | None = None
-
-    @property
-    def items(self) -> tuple[SNode, ...]:
-        items = self._items
-        if items is None:
-            src, i = self._src, self._index
-            items = self._items = tuple(src.nodes(i + 1, src.close[i]))
-        return items
-
-    @property
-    def text(self) -> str:
-        """The list's exact source text, parentheses included."""
-        src, i = self._src, self._index
-        return src.text[src.starts[i] : src.starts[src.close[i]] + 1]
-
-    def __repr__(self) -> str:
-        return f"SList({self.text!r})"
-
-
-SNode = SAtom | SList
+    src: Tokens
+    index: int
 
 
 def parse_all(text: str) -> list[SNode]:
-    src = _Source(text)
-    return src.nodes(0, len(src.pieces))
-
-
-def expect_list(node: SNode, what: str) -> SList:
-    if not isinstance(node, SList):
-        raise ParseError(f"expected {what}, got atom '{node.value}'", node.line, node.col)
-    return node
-
-
-def expect_atom(node: SNode, what: str) -> SAtom:
-    if not isinstance(node, SAtom):
-        raise ParseError(f"expected {what}, got a list", node.line, node.col)
-    return node
-
-
-def head_of(node: SList, what: str) -> str:
-    # The proof reader calls this for every node, part and side, so the
-    # messages are formatted only on error.
-    items = node.items
-    if not items:
-        raise ParseError(f"empty list where {what} was expected", node.line, node.col)
-    head = items[0]
-    if not isinstance(head, SAtom):
-        raise ParseError(f"expected {what} keyword, got a list", head.line, head.col)
-    return head.value
+    """Each top-level form of `text`."""
+    src = Tokens(text)
+    return [SNode(src, i) for i in src.items(0, len(src.tokens))]

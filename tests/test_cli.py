@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pi2cut
 from fixtures import PROBLEM_DIR
 from pi2cut.calculus import AXIOM, FORALL_L, LEFT, Node
-from pi2cut.cli import main
+from pi2cut.cli import CLOSED_OUTPUT, main
 from pi2cut.problem_io import parse_proof, print_proof
 from pi2cut.syntax import Atom, ForAll, Sequent, Signature, Var, const
 
@@ -389,6 +394,29 @@ class TestLanguage:
         terms = [l for l in out if not l.startswith(";")]
         assert len(terms) == 7
         assert "; covers herbrand-terms: true" in out
+
+
+@pytest.mark.parametrize("argv", [["language", TWO_STEP], ["bench-sn", "--n", "3"]])
+def test_closed_output_exits_quietly(argv):
+    # `pi2cut language problems/two_step.p2 | head -1` used to end in a
+    # BrokenPipeError traceback.  Here the reader is gone before the first
+    # write, so the outcome does not hang on timing.
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(pi2cut.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pi2cut", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr == b""
+    assert done.returncode == CLOSED_OUTPUT
 
 
 class TestBench:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_reader
 from fixtures import PROBLEM_DIR, load, two_step, two_step_instances
 from gen import random_tautological_eh
 from pi2cut import problem_io
@@ -26,7 +27,7 @@ from pi2cut.problem_io import (
     print_sequent,
     print_starting_set,
 )
-from pi2cut.sexpr import ParseError, SList, parse_all
+from pi2cut.sexpr import ParseError, parse_all
 from pi2cut.solver import NoSolutionUnderPool, SolverOptions, introduce_cut
 from pi2cut.syntax import (
     And,
@@ -382,14 +383,15 @@ def reference_print_proof(root: Node, sig: Signature) -> str:
 
 def _formula_texts(text: str) -> set[str]:
     """The distinct formula texts of a proof file: its principal and cut
-    formulas and the formulas of the sequents it writes."""
+    formulas and the formulas of the sequents it writes.  Read with the
+    reference reader's list layer, whose lists keep their source text."""
     out: set[str] = set()
-    stack = [parse_all(text)[0].items[2]]
+    stack = [reference_reader.parse_all(text)[0].items[2]]
     while stack:
         for part in stack.pop().items[1:]:
             head, *items = part.items
             if head.value == "principal":
-                if isinstance(items[1], SList):  # not an index into the sequent
+                if isinstance(items[1], reference_reader.SList):  # not an index into the sequent
                     out.add(items[1].text)
             elif head.value == "cut-formula":
                 out.add(items[0].text)
@@ -645,3 +647,88 @@ def test_mutated_proof_files(fuzz_dir, text):
     path = fuzz_dir / "mutated.proof"
     path.write_text(text, encoding="utf-8")
     _run_cli(["check", str(path)])
+
+
+# ---------------------------------------------------------------------------
+# The reference reader (`reference_reader.py`) is the reading path as it was
+# before the token walk.  On every text both read the same tree, which
+# prints back to the same file, or raise the same error at the same place.
+
+_GOLDEN_PROOFS = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.proof"))]
+_ALL_PROOF_TEXTS = _PROOF_TEXTS + _GOLDEN_PROOFS
+
+
+@st.composite
+def _commented(draw, texts):
+    """A text with a comment put in anywhere, a token's middle included.
+    Without a line break of its own it runs to the next one in the text."""
+    text = draw(st.sampled_from(texts))
+    at = draw(st.integers(0, len(text)))
+    comment = draw(st.sampled_from([";", "; (", ";)", "; x\r", ";;(a"]))
+    return text[:at] + comment + draw(st.sampled_from(["\n", "", " "])) + text[at:]
+
+
+def _outcome(reader, text):
+    try:
+        return reader(text)
+    except (ParseError, SyntaxError_, GrammarError) as e:
+        return e
+
+
+def _assert_reads_as_the_reference(reader, reference, text):
+    new, old = _outcome(reader, text), _outcome(reference, text)
+    if isinstance(old, Exception) or isinstance(new, Exception):
+        assert (type(new), str(new)) == (type(old), str(old))
+        if isinstance(old, ParseError):
+            assert (new.message, new.line, new.col) == (old.message, old.line, old.col)
+        return new
+    assert new == old
+    return new
+
+
+def _assert_proof_reads_as_the_reference(text):
+    read = _assert_reads_as_the_reference(parse_proof, reference_reader.parse_proof, text)
+    if not isinstance(read, Exception):
+        root, sig = read
+        assert print_proof(root, sig) == print_proof(*reference_reader.parse_proof(text))
+    return read
+
+
+# Nodes with two faults each, one per pair of parts that the reader reads
+# in turn: the error names the part read first.
+_TWO_FAULTS = [
+    _proof_text("(principal down 0) (witness (g c))", "(sequent (left (P c)) (right (P c)))"),
+    _proof_text("(witness (g c)) (eigen (e))", "(sequent (left (P c)) (right (P c)))"),
+    _proof_text("(eigen (e)) (cut-formula (Q c))", "(sequent (left (P c)) (right (P c)))"),
+    _proof_text("(principal left (R c))", "(sequent (left (Q c)) (right (P c)))"),
+    _proof_text("(principal left 0) (keep x)", "(sequent (left (P c)) (right (P c)))"),
+    _proof_text("", "(sequent (right (R c)) (left (Q c)))"),
+    _proof_text("(cut-formula (R c))", "(sequent (left (P c)) (right (P c)) (middle))"),
+]
+
+
+@pytest.mark.parametrize(
+    "text",
+    _ALL_PROOF_TEXTS + _TWO_FAULTS + [text for reader, text, _ in _ERROR_POSITIONS],
+)
+def test_proofs_read_as_the_reference(text):
+    _assert_proof_reads_as_the_reference(text)
+
+
+def test_planted_proofs_read_as_the_reference():
+    for name, proof, sig in _oracle_proofs():
+        text = print_proof(proof, sig)
+        root, _sig = _assert_proof_reads_as_the_reference(text)
+        assert print_proof(root, sig) == text, name
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(_mutated(_ALL_PROOF_TEXTS), _commented(_ALL_PROOF_TEXTS)))
+def test_mutated_proofs_read_as_the_reference(text):
+    _assert_proof_reads_as_the_reference(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(_mutated(_PROBLEM_TEXTS), _commented(_PROBLEM_TEXTS)))
+def test_mutated_problems_read_as_the_reference(text):
+    _assert_reads_as_the_reference(parse_problem, reference_reader.parse_problem, text)
