@@ -477,15 +477,27 @@ _NODE_PARTS = {"rule": 2, "principal": 3, "witness": 2, "eigen": 2, "keep": 1, "
 _SIDES = {calculus.LEFT: None, calculus.RIGHT: None}
 
 
-def _referenced(sequent: Sequent, side: str, index: int, src: Tokens, at: int) -> Formula:
+def _referenced(
+    sequent: Sequent,
+    side: str,
+    index: int,
+    src: Tokens,
+    at: int,
+    ordered: dict[frozenset[Formula], list[Formula]],
+) -> Formula:
     """Formula `index` of side `side` of `sequent`, counted in the order
-    `print_sequent` writes that side; the index is written at token `at`."""
+    `print_sequent` writes that side; the index is written at token `at`.
+    `ordered` keeps each side already put in that order, so that a file
+    sorts each distinct side once."""
     formulas = _side_of(sequent, side)
     if index >= len(formulas):
         held = len(formulas)
         msg = f"principal index {index} is past the {side} side, which holds {held} formula(s)"
         raise ParseError(msg, *src.position(at))
-    return sorted(formulas, key=formula_key)[index]
+    order = ordered.get(formulas)
+    if order is None:
+        order = ordered[formulas] = sorted(formulas, key=formula_key)
+    return order[index]
 
 
 def parse_proof(text: str) -> tuple[Node, Signature]:
@@ -512,6 +524,7 @@ def parse_proof(text: str) -> tuple[Node, Signature]:
     sig = _parse_signature(src, 2)
 
     formulas: dict[tuple[str, ...], Formula] = {}
+    ordered: dict[frozenset[Formula], list[Formula]] = {}
 
     def formula(i: int) -> Formula:
         key = tuple(tokens[i : close[i] + 1])
@@ -585,7 +598,8 @@ def parse_proof(text: str) -> tuple[Node, Signature]:
                 raise ParseError(f"premise needs a sequent: {fixed}", *src.position(i))
             sequent = fixed[place]
         if number is not None:
-            principal = _referenced(sequent, side, number, src, parts["principal"] + 3)  # type: ignore[arg-type]
+            at = parts["principal"] + 3
+            principal = _referenced(sequent, side, number, src, at, ordered)  # type: ignore[arg-type]
         fields = (principal, side, witness, eigen, "keep" in parts, cut)
         forms = list(src.tail(parts["premises"])) if "premises" in parts else ()
         if forms:

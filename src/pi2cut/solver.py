@@ -21,6 +21,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import neg
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .calculus import LeafMasks, complexities, is_tautology, leaf_masks
@@ -305,16 +306,59 @@ def partitioned_dnta(sehs: Sehs) -> LeafMasks:
 # Closure filters
 
 
-def _open_vectors(picks: Iterable[Sequence[_Pick]], all_leaves: int) -> Iterator[bool]:
-    """For each pick vector whose masks leave a leaf open: do its
-    instances hold a complementary pair?"""
-    for vec in itertools.product(*picks):
-        covered = 0
-        for mask, _ in vec:
-            covered |= mask
-        if covered != all_leaves:
-            ids = frozenset().union(*(ids for _, ids in vec))
-            yield any(-n in ids for n in ids)
+def _open_vectors(
+    picks: Sequence[Sequence[_Pick]], all_leaves: int, cancel: bool
+) -> Iterator[tuple[int, ...]]:
+    """The pick vectors whose masks leave a leaf open, as the position of
+    each pick in its list, in `itertools.product` order.  With `cancel`,
+    the vectors whose instances hold a complementary pair are left out.
+
+    One explicit-stack walk, depth first: per level it keeps the mask the
+    prefix covers and, with `cancel`, the ids of its instances.  A prefix
+    that covers every leaf closes every vector that extends it, and a
+    prefix that cancels makes every such vector cancel, so either one
+    settles its whole subtree unvisited."""
+    if not all_leaves:
+        return
+    depth = len(picks)
+    if not depth:
+        yield ()
+        return
+    last = depth - 1
+    pos = [-1] * depth
+    covered = [0] * depth
+    seen: list[frozenset[int]] = [frozenset()] * depth
+    d = 0
+    while d >= 0:
+        i = pos[d] + 1
+        level = picks[d]
+        if i == len(level):
+            d -= 1
+            continue
+        pos[d] = i
+        mask, ids = level[i]
+        mask |= covered[d]
+        if mask == all_leaves:
+            continue
+        if cancel:
+            # The prefix holds no pair, so a new one has a member in this pick.
+            duals = map(neg, ids)
+            ids = seen[d] | ids
+            if not ids.isdisjoint(duals):
+                continue
+        if d == last:
+            yield tuple(pos)
+            continue
+        d += 1
+        pos[d] = -1
+        covered[d] = mask
+        seen[d] = ids
+
+
+def _all_close(picks: Sequence[Sequence[_Pick]], all_leaves: int, cancel: bool) -> bool:
+    """No pick vector leaves a leaf open, or with `cancel`, none leaves
+    one open without cancelling."""
+    return next(_open_vectors(picks, all_leaves, cancel), None) is None
 
 
 def _passes_cl(cand: Sequence[Clause], sehs: Sehs) -> bool:
@@ -322,12 +366,12 @@ def _passes_cl(cand: Sequence[Clause], sehs: Sehs) -> bool:
     a neutral dual (T1), a dual into the leaf's b-part (T2), or two picks
     that cancel each other (T3).  The leaf masks hold T1 and T2;
     interaction is consulted only for vectors whose masks leave a leaf open."""
-    return all(_open_vectors(_cl_picks(cand, sehs), sehs.all_leaves))
+    return _all_close(_cl_picks(cand, sehs), sehs.all_leaves, True)
 
 
-def _cl_picks(cand: Sequence[Clause], sehs: Sehs) -> Iterator[list[_Pick]]:
+def _cl_picks(cand: Sequence[Clause], sehs: Sehs) -> list[list[_Pick]]:
     """Per universal witness, the picks of each of the candidate's clauses."""
-    return ([sehs.cl_pick(c, j) for c in cand] for j in range(sehs.grammar.m))
+    return [[sehs.cl_pick(c, j) for c in cand] for j in range(sehs.grammar.m)]
 
 
 def _passes_sol(cand: Sequence[Clause], sehs: Sehs) -> bool:
@@ -336,7 +380,7 @@ def _passes_sol(cand: Sequence[Clause], sehs: Sehs) -> bool:
     alpha preimages (T2'), or two picks that cancel (T3').  The leaf masks
     hold T1' and T2'; interaction is consulted only for vectors whose masks
     leave a leaf open."""
-    return all(_open_vectors(map(sehs.sol_picks, cand), sehs.all_leaves))
+    return _all_close(list(map(sehs.sol_picks, cand)), sehs.all_leaves, True)
 
 
 def cl_filter(
@@ -484,19 +528,15 @@ def is_balanced(sehs: Sehs, clauses: ClauseSet) -> bool:
     the reduced representation close on an end pair, so only the leaf
     engine's leaves count.  A leaf closes on an end pair when a picked
     instance meets one of its literals (the cl masks, and `holding` for
-    the sol picks); otherwise it closes only on two picks that cancel."""
+    the sol picks); otherwise it closes only on two picks that cancel.
+    So a solution is balanced when neither bridge has an open vector."""
     _cut_matrix(clauses, SyntaxError_)
     cand = sorted(clauses, key=clause_key)
-    sol = ([(sehs.holding(ids), ids) for _, ids in sehs.sol_picks(c)] for c in cand)
-    balanced = True
-    for cancels in itertools.chain(
-        _open_vectors(_cl_picks(cand, sehs), sehs.all_leaves),
-        _open_vectors(sol, sehs.all_leaves),
-    ):
-        if not cancels:
-            raise NotASolution("balance is defined for solutions only")
-        balanced = False
-    return balanced
+    sol = [[(sehs.holding(ids), ids) for _, ids in sehs.sol_picks(c)] for c in cand]
+    bridges = (_cl_picks(cand, sehs), sol)
+    if not all(_all_close(b, sehs.all_leaves, True) for b in bridges):
+        raise NotASolution("balance is defined for solutions only")
+    return all(_all_close(b, sehs.all_leaves, False) for b in bridges)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +628,12 @@ def _cl_survivors(
     failing pick vector.  So level 1 tries every clause, level k only the
     sets of level-1 survivors whose every subset of k - 1 clauses survived
     level k - 1 (Apriori), and a level without survivors ends the search.
-    Each tried set counts as a candidate in `stats`; trying one more than
+    A cl vector picks one clause for each of the m universal witnesses, so
+    above level m each vector of a tried set is a vector of one of its
+    subsets, which all passed: such a set passes without a walk.  Each
+    tried set counts as a candidate in `stats`; trying one more than
     `max_candidates` raises `CapExceeded`."""
+    m = sehs.grammar.m
     pool = sorted(clauses, key=lambda c: (len(c), clause_key(c)))
     level: list[tuple[Clause, ...]] = [()]
     for k in range(1, max_clauses + 1):
@@ -599,7 +643,7 @@ def _cl_survivors(
                 stats.caps_hit = True
                 raise CapExceeded(stats, f"more than {max_candidates} candidates")
             stats.candidates += 1
-            if _passes_cl(cand, sehs):
+            if k > m or _passes_cl(cand, sehs):
                 stats.cl_passed += 1
                 level.append(cand)
                 yield cand

@@ -5,9 +5,11 @@ the acceptance suite re-runs these at larger sizes."""
 import heapq
 import itertools
 import random
+from collections import Counter
 
 from fixtures import leaf_parts
 from gen import random_sehs, random_starting_set
+from pi2cut import solver
 from pi2cut.calculus import check_proof, complexities, is_tautology
 from pi2cut.grammar import GStarSystem, gstar_of, reachable_literals, unifiable_pair
 from pi2cut.herbrand import (
@@ -22,8 +24,10 @@ from pi2cut.solver import (
     SearchStats,
     SolverOptions,
     _cl_survivors,
+    _open_vectors,
     _passes_cl,
     _passes_sol,
+    build_sehs,
     cl_filter,
     clauses_from_pool,
     gstar_pool,
@@ -269,6 +273,116 @@ def brute_search(sehs, reference, cl_verdicts, all_solutions):
             if not all_solutions:
                 break
     return tuple(found), tried, cl, sol
+
+
+def reference_open_vectors(picks, all_leaves, cancel):
+    """The walk as the whole `itertools.product` of the pick lists: each
+    vector, as pick positions, whose masks leave a leaf open, and with
+    `cancel` only those whose ids hold no complementary pair."""
+    for vec in itertools.product(*(range(len(level)) for level in picks)):
+        chosen = [level[i] for level, i in zip(picks, vec)]
+        covered = 0
+        for mask, _ in chosen:
+            covered |= mask
+        if covered == all_leaves:
+            continue
+        ids = frozenset().union(*(ids for _, ids in chosen))
+        if cancel and any(-n in ids for n in ids):
+            continue
+        yield vec
+
+
+def _random_picks(rng, leaves):
+    """Up to four pick lists of up to four picks, over `leaves` leaves and
+    signed ids of four atoms; a list is sometimes empty."""
+    return [
+        [
+            (
+                rng.getrandbits(leaves),
+                frozenset(rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(rng.randint(0, 3))),
+            )
+            for _ in range(rng.choice((0, 1, 2, 3, 3, 4)))
+        ]
+        for _ in range(rng.randint(0, 4))
+    ]
+
+
+def test_pruned_walk_matches_the_product_walk():
+    """The pruned walk yields the product walk's open vectors in its order,
+    with and without dropping the cancelling ones."""
+    ones = lambda n: frozenset({n})
+    cases = [
+        ([], 1),  # no pick lists: the one empty vector
+        ([], 0),
+        ([[(0, ones(1))], []], 3),  # an empty pick list: no vector
+        ([[(0, ones(1)), (0, ones(-1))]], 0),  # no leaves: every vector closed
+        ([[(0, frozenset({1, -1})), (0, ones(2))], [(0, ones(3))]], 1),  # cancels in one pick
+        ([[(0, ones(1)), (0, ones(2))], [(1, ones(3)), (0, ones(-1))]], 3),  # across levels
+    ]
+    rng = random.Random(5100)
+    cases += [(_random_picks(rng, leaves), (1 << leaves) - 1) for leaves in range(5) for _ in range(300)]
+    seen = Counter()
+    for picks, all_leaves in cases:
+        expected = {}
+        for cancel in (False, True):
+            expected[cancel] = list(reference_open_vectors(picks, all_leaves, cancel))
+            got = list(_open_vectors(picks, all_leaves, cancel))
+            assert got == expected[cancel], (picks, all_leaves, cancel)
+        seen["closed"] += not expected[False]
+        seen["open, cancelling"] += len(expected[False]) > len(expected[True])
+        seen["open, not cancelling"] += bool(expected[True])
+    assert min(seen.values()) >= 100, seen
+
+
+def test_walk_depth_is_not_bounded_by_the_stack():
+    picks = [[(0, frozenset({1}))]] * 5000
+    for cancel in (False, True):
+        assert list(_open_vectors(picks, 1, cancel)) == [(0,) * 5000]
+
+
+# Three universal witnesses, each with a succedent disjunct to close.
+_THREE_WITNESSES = """
+(signature (fun r1 0) (fun r2 0) (fun r3 0) (fun t1 1) (pred P 2) (pred Q 2))
+(forall-vars x1)
+(exists-vars y1 y2 y3)
+(antecedent (and (P x1 (t1 x1)) (Q x1 (t1 x1))))
+(succedent (or (P r1 y1) (or (Q r2 y2) (P r3 y3))))
+(grammar (f-tuples (alpha)) (g-tuples (b1 b2 b3)) (r-terms r1 r2 r3) (t-terms (t1 alpha)))
+"""
+
+
+def test_levels_above_m_need_no_cl_walk(monkeypatch):
+    """With m = 3 the cl filter walks the sets of one to three clauses and
+    passes those of four unwalked; the survivors and counters are still
+    those of each set's own verdict under Apriori."""
+    from pi2cut.problem_io import parse_problem
+
+    pf = parse_problem(_THREE_WITNESSES)
+    sehs = build_sehs(pf.problem, pf.grammar)
+    assert sehs.grammar.m == 3
+    clauses = clauses_from_pool(naive_pool(sehs), 2)
+    reference = list(reference_clause_sets(clauses, 4))
+    verdict = {frozenset(cs): _passes_cl(cs, sehs) for cs in reference}
+    walked = Counter()
+
+    def counted(cand, _):
+        walked[len(cand)] += 1
+        return verdict[frozenset(cand)]
+
+    monkeypatch.setattr(solver, "_passes_cl", counted)
+    stats = SearchStats(candidates=0, cl_passed=0)
+    survivors = list(_cl_survivors(clauses, sehs, 4, stats))
+
+    # Apriori tries a set when it has one clause or each subset one
+    # clause smaller passed.
+    tried = [
+        cs for cs in reference
+        if len(cs) == 1 or all(verdict[frozenset(cs) - {c}] for c in cs)
+    ]
+    assert sorted(walked) == [1, 2, 3] and walked[3] > 0
+    assert sum(len(cs) == 4 for cs in tried) > 0
+    assert survivors == [cs for cs in tried if verdict[frozenset(cs)]]
+    assert (stats.candidates, stats.cl_passed) == (len(tried), len(survivors))
 
 
 def test_pruned_search_matches_the_full_enumeration():
