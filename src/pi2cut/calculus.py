@@ -265,7 +265,7 @@ def leaf_masks(s: Sequent) -> LeafMasks:
     goes first, as in `_candidates`.  What each premise of each rule adds
     is read once per compound formula and side from the rule table.
 
-    That order is part of the definition of `Sehs.leaves`: sides are sets,
+    That order is part of the definition of `Sehs.leaf_masks`: sides are sets,
     so a formula that an earlier branching rule already split can merge
     with a copy of itself, and another order can leave a different
     non-tautological leaf set (each extra leaf a superset of a canonical

@@ -477,27 +477,15 @@ _NODE_PARTS = {"rule": 2, "principal": 3, "witness": 2, "eigen": 2, "keep": 1, "
 _SIDES = {calculus.LEFT: None, calculus.RIGHT: None}
 
 
-def _referenced(
-    sequent: Sequent,
-    side: str,
-    index: int,
-    src: Tokens,
-    at: int,
-    ordered: dict[frozenset[Formula], list[Formula]],
-) -> Formula:
+def _referenced(sequent: Sequent, side: str, index: int, src: Tokens, at: int) -> Formula:
     """Formula `index` of side `side` of `sequent`, counted in the order
-    `print_sequent` writes that side; the index is written at token `at`.
-    `ordered` keeps each side already put in that order, so that a file
-    sorts each distinct side once."""
+    `print_sequent` writes that side; the index is written at token `at`."""
     formulas = _side_of(sequent, side)
     if index >= len(formulas):
         held = len(formulas)
         msg = f"principal index {index} is past the {side} side, which holds {held} formula(s)"
         raise ParseError(msg, *src.position(at))
-    order = ordered.get(formulas)
-    if order is None:
-        order = ordered[formulas] = sorted(formulas, key=formula_key)
-    return order[index]
+    return sorted(formulas, key=formula_key)[index]
 
 
 def parse_proof(text: str) -> tuple[Node, Signature]:
@@ -524,7 +512,6 @@ def parse_proof(text: str) -> tuple[Node, Signature]:
     sig = _parse_signature(src, 2)
 
     formulas: dict[tuple[str, ...], Formula] = {}
-    ordered: dict[frozenset[Formula], list[Formula]] = {}
 
     def formula(i: int) -> Formula:
         key = tuple(tokens[i : close[i] + 1])
@@ -599,7 +586,7 @@ def parse_proof(text: str) -> tuple[Node, Signature]:
             sequent = fixed[place]
         if number is not None:
             at = parts["principal"] + 3
-            principal = _referenced(sequent, side, number, src, at, ordered)  # type: ignore[arg-type]
+            principal = _referenced(sequent, side, number, src, at)  # type: ignore[arg-type]
         fields = (principal, side, witness, eigen, "keep" in parts, cut)
         forms = list(src.tail(parts["premises"])) if "premises" in parts else ()
         if forms:

@@ -69,7 +69,6 @@ from .syntax import (
     dnf_of,
     free_vars,
     literal_key,
-    substitute_literal,
 )
 
 
@@ -120,6 +119,9 @@ class CapExceeded(SolverError):
 
 # A clause pick: the mask of the leaves it closes, and the ids of its instance.
 _Pick = tuple[int, frozenset[int]]
+# A literal's alpha instances, one per existential witness, and its beta
+# instances, one per universal witness.
+_Instances = tuple[tuple[Literal, ...], tuple[Literal, ...]]
 # Per bit of a byte, the table that maps a byte to b"1" when it has the
 # bit set, else to b"0".
 _DIGITS = [(b"0" * (1 << bit) + b"1" * (1 << bit)) * (128 >> bit) for bit in range(8)]
@@ -137,14 +139,16 @@ class Sehs:
     It derives, once each and on first use, everything a solve needs that
     does not depend on the matrix: the instance sequent (the reduced
     representation), its leaves as bit-mask pairs (leaf i is bit i of
-    every mask), one index of the leaves that hold each literal, and each
-    clause's picks.  The closure filters, the pools, the search, the
-    verifier and the balance test all read them from here."""
+    every mask), one index of the leaves that hold each literal, each
+    literal's alpha and beta instances, and each clause's picks.  The
+    index is the only view of the leaves a solve reads: no mask is
+    decoded into formulas.  The closure filters, the pools, the search,
+    the verifier and the balance test all read them from here."""
 
     problem: PrenexProblem
     grammar: SchematicPi2Grammar
     _atom_ids: dict[Atom, int] = _cache()
-    _alpha_t: dict[tuple[Literal, int], Literal] = _cache()
+    _instances: dict[Literal, _Instances] = _cache()
     _cl_pick: dict[tuple[Clause, int], _Pick] = _cache()
     _sol_picks: dict[Clause, list[_Pick]] = _cache()
 
@@ -157,11 +161,6 @@ class Sehs:
     def leaf_masks(self) -> LeafMasks:
         """The non-tautological leaves, as the leaf engine returns them."""
         return partitioned_dnta(self)
-
-    @cached_property
-    def leaves(self) -> tuple[Sequent, ...]:
-        """The leaves as sequents, in the engine's order; no solve reads them."""
-        return tuple(self.leaf_masks.sequents())
 
     @cached_property
     def all_leaves(self) -> int:
@@ -219,13 +218,18 @@ class Sehs:
         n = self._atom_id(lit.atom)
         return n if lit.positive else -n
 
-    def alpha_t(self, lit: Literal, i: int) -> Literal:
-        key = (lit, i)
-        if key not in self._alpha_t:
-            self._alpha_t[key] = substitute_literal(
-                lit, {X: Var(ALPHA), Y: self.grammar.t_terms[i]}
+    def instances(self, lit: Literal) -> _Instances:
+        """The literal's alpha instances l[x\\alpha, y\\t_i], one per
+        existential witness, and its beta instances l[x\\r_j, y\\b_j], one
+        per universal witness: `cut_instances` of its atom, with its sign."""
+        hit = self._instances.get(lit)
+        if hit is None:
+            alphas, betas = cut_instances(lit.atom, self.grammar)
+            hit = self._instances[lit] = (
+                tuple(Literal(lit.positive, a) for a in alphas),
+                tuple(Literal(lit.positive, b) for b in betas),
             )
-        return self._alpha_t[key]
+        return hit
 
     def witness_mask(self, lits: Sequence[Literal]) -> int:
         """T2': the mask of the leaves whose A part holds the alpha instance
@@ -233,10 +237,11 @@ class Sehs:
         An instance lies in a leaf's A part when the leaf holds it and it
         has ``alpha`` free."""
         out = 0
+        alphas = [self.instances(l)[0] for l in lits]
         for i in range(self.grammar.p):
             mask = self.all_leaves
-            for l in lits:
-                inst = self.alpha_t(l, i)
+            for insts in alphas:
+                inst = insts[i]
                 if ALPHA not in free_vars(inst.atom):
                     mask = 0
                     break
@@ -253,20 +258,24 @@ class Sehs:
         key = (clause, j)
         hit = self._cl_pick.get(key)
         if hit is None:
-            sub = {X: self.grammar.r_terms[j], Y: Var(beta(j + 1))}
-            ids = frozenset(self.lit_id(substitute_literal(l, sub)) for l in clause)
+            ids = frozenset(self.lit_id(self.instances(l)[1][j]) for l in clause)
             hit = self._cl_pick[key] = (self.holding(-n for n in ids), ids)
         return hit
 
     def sol_picks(self, clause: Clause) -> list[_Pick]:
         """Each pick of one literal of the clause per existential witness:
         the mask of the leaves it closes by T1' or T2', and the ids of its
-        alpha instance."""
+        alpha instance.  More than `_PICK_CAP` picks raise `CapExceeded`
+        before any is built."""
         hit = self._sol_picks.get(clause)
         if hit is None:
+            count = len(clause) ** self.grammar.p
+            if count > _PICK_CAP:
+                stats = SearchStats(caps_hit=True)
+                raise CapExceeded(stats, f"too many sol picks for one clause ({count})")
             hit = []
             for pick in itertools.product(sorted(clause, key=literal_key), repeat=self.grammar.p):
-                insts = [self.alpha_t(l, i) for i, l in enumerate(pick)]
+                insts = [self.instances(l)[0][i] for i, l in enumerate(pick)]
                 # T1': an instance without alpha lies in a leaf's N part
                 # exactly when the leaf holds it.
                 neutral = (self.lit_id(a) for a in insts if ALPHA not in free_vars(a.atom))
@@ -406,6 +415,11 @@ def sol_filter(candidates: Iterable[ClauseSet], sehs: Sehs) -> frozenset[ClauseS
 
 
 _SITE_CAP = 16
+# The most sol picks one clause may have (`Sehs.sol_picks`).  Apart from
+# the test of this bound, the tests, the CI steps and the benchmark
+# workloads build at most 64, a two-literal clause under six existential
+# witnesses.
+_PICK_CAP = 4096
 
 
 def _generalise(lit: Literal, sys: GStarSystem, pool: str) -> frozenset[Literal]:
@@ -427,23 +441,23 @@ def _generalise(lit: Literal, sys: GStarSystem, pool: str) -> frozenset[Literal]
 
 def _leaf_literals(sehs: Sehs) -> tuple[set[Literal], frozenset[Literal]]:
     """The distinct leaf literals of the A and N classes, and the duals of
-    those of the B and N classes.  A literal is in A when ``alpha`` is
-    free in it, in B when some ``bj`` is and ``alpha`` is not, else in N."""
+    those of the B and N classes, read off the index: it holds an id for
+    each literal some leaf holds (an antecedent atom positive, a succedent
+    atom negated).  A literal is in A when ``alpha`` is free in it, in B
+    when some ``bj`` is and ``alpha`` is not, else in N."""
     betas = frozenset(sehs.grammar.beta_vars())
     lefts: set[Literal] = set()
     rights: set[Literal] = set()
-    masks = sehs.leaf_masks
-    left_atoms = right_atoms = 0
-    for left, right in masks.pairs:
-        left_atoms |= left
-        right_atoms |= right
-    for positive, atoms in ((True, left_atoms), (False, right_atoms)):
-        for atom in masks.decode(atoms):
-            vs = free_vars(atom)
-            if ALPHA in vs or betas.isdisjoint(vs):
-                lefts.add(Literal(positive, atom))
-            if ALPHA not in vs:
-                rights.add(Literal(not positive, atom))
+    held = sehs._holders
+    # Read after the index, which numbers every atom it holds: atom n is atoms[n - 1].
+    atoms = list(sehs._atom_ids)
+    for n in held:
+        atom = atoms[abs(n) - 1]
+        vs = free_vars(atom)
+        if ALPHA in vs or betas.isdisjoint(vs):
+            lefts.add(Literal(n > 0, atom))
+        if ALPHA not in vs:
+            rights.add(Literal(n < 0, atom))
     return lefts, frozenset(rights)
 
 
@@ -671,7 +685,14 @@ def introduce_cut(
     found: list[ClauseSet] = []
     survivors = _cl_survivors(clauses, sehs, options.max_clauses, stats, options.max_candidates)
     for cand in survivors:
-        if not _passes_sol(cand, sehs):
+        try:
+            passed = _passes_sol(cand, sehs)
+        except CapExceeded as e:
+            # The pick budget is checked on the `Sehs`, which keeps no counters.
+            stats.caps_hit = True
+            e.stats = stats
+            raise
+        if not passed:
             continue
         stats.sol_passed += 1
         cs = frozenset(cand)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from pi2cut.herbrand import HerbrandInstanceSet
 from pi2cut.problem_io import ProblemFile, parse_problem
-from pi2cut.syntax import ALPHA, App, Atom, Literal, Var, X, Y, const, free_vars
+from pi2cut.syntax import ALPHA, App, Atom, Literal, Sequent, Var, X, Y, const, free_vars
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 
@@ -56,6 +56,13 @@ def lit(pred: str, *args) -> Literal:
 
 def nlit(pred: str, *args) -> Literal:
     return Literal(False, Atom(pred, tuple(args)))
+
+
+def leaf_sequents(sehs) -> tuple[Sequent, ...]:
+    """The solve's leaves as sequents, in the leaf engine's order: its
+    mask pairs decoded.  A solve itself reads them only through the
+    literal-to-leaves index."""
+    return tuple(sehs.leaf_masks.sequents())
 
 
 def leaf_parts(sehs, leaf) -> tuple[frozenset[Literal], ...]:

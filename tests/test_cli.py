@@ -17,6 +17,7 @@ TWO_STEP = str(PROBLEM_DIR / "two_step.p2")
 SHARED = str(PROBLEM_DIR / "unsolvable_shared_base.p2")
 TWO_BASES = str(PROBLEM_DIR / "unsolvable_two_bases.p2")
 SWAP = str(PROBLEM_DIR / "swap_pair.p2")
+HOSTILE = Path(__file__).resolve().parent / "hostile"
 
 
 class TestSolve:
@@ -124,6 +125,23 @@ class TestSolve:
             assert main(["solve", str(problem), "--pool", pool]) == 1
             keys = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
             assert keys == ["status", "pool", "caps-hit"]
+
+    def test_pick_budget(self, monkeypatch, capsys):
+        # swap_pair under fourteen existential witnesses: the pool's one
+        # three-literal clause passes the cl filter and would have 3^14 sol
+        # picks.  The budget ends the solve before any pick is built.
+        import itertools
+
+        products = []
+        real = itertools.product
+        monkeypatch.setattr(itertools, "product", lambda *a, **k: products.append(k) or real(*a, **k))
+        pool = f"file:{HOSTILE / 'pick_budget.pool'}"
+        assert main(["solve", str(HOSTILE / "pick_budget.p2"), "--pool", pool, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and not products
+        data = json.loads(captured.out)
+        counts = (data["status"], data["candidates"], data["cl-passed"], data["sol-passed"])
+        assert counts == ("cap-exceeded", "1", "1", "0") and data["caps-hit"] == "true"
 
     def test_starting_set_file(self, tmp_path, capsys):
         pool_file = tmp_path / "start.txt"

@@ -7,7 +7,7 @@ import itertools
 import random
 from collections import Counter
 
-from fixtures import leaf_parts
+from fixtures import leaf_parts, leaf_sequents
 from gen import random_sehs, random_starting_set
 from pi2cut import solver
 from pi2cut.calculus import check_proof, complexities, is_tautology
@@ -134,7 +134,7 @@ def test_pools_match_their_pairwise_definitions():
         for seed in range(60):
             sehs = random_sehs(random.Random(2100 + seed), rich=rich, max_leaves=4)
             g = sehs.grammar
-            parts = [leaf_parts(sehs, leaf) for leaf in sehs.leaves]
+            parts = [leaf_parts(sehs, leaf) for leaf in leaf_sequents(sehs)]
             lefts = {l for a, _, n in parts for l in a | n}
             rights = {q for _, b, n in parts for q in b | n}
             sys = gstar_of(g)
@@ -420,7 +420,7 @@ def test_allowed_sets_subset_closed():
         pool = sorted(naive_pool(sehs), key=str)
         # T2' at leaf idx, read from the mask.
         allowed = lambda idx, lits: sehs.witness_mask(sorted(lits, key=literal_key)) >> idx & 1
-        for idx in range(len(sehs.leaves)):
+        for idx in range(len(sehs.leaf_masks.pairs)):
             prime = [l for l in pool if allowed(idx, {l})][:4]
             for k in range(2, len(prime) + 1):
                 for combo in itertools.combinations(prime, k):

@@ -6,6 +6,7 @@ import pytest
 
 from fixtures import (
     leaf_parts,
+    leaf_sequents,
     lit,
     nlit,
     shared_base,
@@ -109,7 +110,7 @@ class TestBuildSehs:
 
 
 def reference_partition(sehs) -> frozenset[Sequent]:
-    """`Sehs.leaves` computed the long way: the non-tautological leaves of
+    """The solve's leaf sequents computed the long way: the non-tautological leaves of
     the full maximal derivation of the reduced representation."""
     from pi2cut.calculus import NON_TAUT_LEAF, maximal_derivation
 
@@ -134,12 +135,13 @@ class TestPartitionedDnta:
         ]
         for sehs in cases:
             # Leaf order is no property: only the bit masks read it.
-            assert len(set(sehs.leaves)) == len(sehs.leaves)
-            assert set(sehs.leaves) == reference_partition(sehs)
+            leaves = leaf_sequents(sehs)
+            assert len(set(leaves)) == len(leaves)
+            assert set(leaves) == reference_partition(sehs)
             # No atom has both alpha and a b-variable free, so the split
             # by free variables is well defined.
             betas = set(sehs.grammar.beta_vars())
-            for leaf in sehs.leaves:
+            for leaf in leaves:
                 for atom in leaf.left | leaf.right:
                     vs = free_vars(atom)
                     assert not (ALPHA in vs and vs & betas), atom
@@ -151,10 +153,10 @@ class TestPartitionedDnta:
         a_part = frozenset({lit("P", alpha, t1(alpha)), lit("Q", alpha, t2(alpha))})
         b_parts = (frozenset({nlit("P", r, b1)}), frozenset({nlit("Q", r, b2)}))
         a_atoms = [l.atom for l in a_part]
-        assert set(sehs.leaves) == {
+        assert set(leaf_sequents(sehs)) == {
             Sequent.of(a_atoms, [l.atom for l in b]) for b in b_parts
         }
-        assert {leaf_parts(sehs, leaf) for leaf in sehs.leaves} == {
+        assert {leaf_parts(sehs, leaf) for leaf in leaf_sequents(sehs)} == {
             (a_part, b, frozenset()) for b in b_parts
         }
 
@@ -166,7 +168,7 @@ class TestPartitionedDnta:
 
         sn = generate_sn(3)
         sehs = build_sehs(sn.problem, sn.grammar)
-        views = [frozenset().union(*leaf_parts(sehs, leaf)) for leaf in sehs.leaves]
+        views = [frozenset().union(*leaf_parts(sehs, leaf)) for leaf in leaf_sequents(sehs)]
         literals = {q for l in frozenset().union(*views) for q in (l, dual(l))}
         for l in literals:
             mask = sehs.holding([sehs.lit_id(l)])
@@ -176,7 +178,7 @@ class TestPartitionedDnta:
     def test_swap_pair_leaves(self):
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
-        leaves = sehs.leaves
+        leaves = leaf_sequents(sehs)
         assert len(leaves) == 2
         r = const("r")
         b1 = Var("b1")
@@ -225,7 +227,7 @@ class TestPartitionedDnta:
         g = lambda t: App("g", (t,))
         fi = lambda i, t: App(f"f{i}", (t,))
         c, b1 = const("c"), Var("b1")
-        leaves = set(sehs.leaves)
+        leaves = set(leaf_sequents(sehs))
         b_part = frozenset({nlit("P", c, f(b1)), nlit("P", c, g(b1))})
         expected = set()
         for i in (1, 2):
@@ -248,8 +250,8 @@ class TestPartitionedDnta:
 def reference_holders(sehs) -> dict[int, int]:
     """The literal-to-leaves index built from the decoded leaf sequents:
     one byte row per literal id, set bit by bit."""
-    rows = defaultdict(lambda: bytearray(len(sehs.leaves) // 8 + 1))
-    for idx, leaf in enumerate(sehs.leaves):
+    rows = defaultdict(lambda: bytearray(len(sehs.leaf_masks.pairs) // 8 + 1))
+    for idx, leaf in enumerate(leaf_sequents(sehs)):
         for sign, side in ((1, leaf.left), (-1, leaf.right)):
             for atom in side:
                 rows[sign * sehs.lit_id(Literal(True, atom))][idx >> 3] |= 1 << (idx & 7)
@@ -266,6 +268,69 @@ def test_holders_match_the_decoded_leaves():
     for pf in problems:
         sehs = build_sehs(pf.problem, pf.grammar)
         assert sehs._holders == reference_holders(sehs), pf.problem
+
+
+def reference_leaf_literals(sehs) -> tuple[set[Literal], frozenset[Literal]]:
+    """The pools' leaf literals read from the OR of all the leaf masks,
+    decoded: the A and N literals, and the duals of the B and N ones."""
+    betas = frozenset(sehs.grammar.beta_vars())
+    lefts, rights = set(), set()
+    masks = sehs.leaf_masks
+    left_atoms = right_atoms = 0
+    for left, right in masks.pairs:
+        left_atoms |= left
+        right_atoms |= right
+    for positive, atoms in ((True, left_atoms), (False, right_atoms)):
+        for atom in masks.decode(atoms):
+            vs = free_vars(atom)
+            if ALPHA in vs or betas.isdisjoint(vs):
+                lefts.add(Literal(positive, atom))
+            if ALPHA not in vs:
+                rights.add(Literal(not positive, atom))
+    return lefts, frozenset(rights)
+
+
+def instance_cases():
+    """Solves with literals to instantiate: the fixture problems and S_2..S_5
+    with both pools' literals, and random grammar sequents with their pools'
+    and random starting sets' literals."""
+    from fixtures import PROBLEM_DIR, load
+    from pi2cut.benchmark import generate_sn
+
+    problems = [load(p.name) for p in sorted(PROBLEM_DIR.glob("*.p2"))]
+    problems += [generate_sn(n) for n in range(2, 6)]
+    cases = [build_sehs(pf.problem, pf.grammar) for pf in problems]
+    cases += [
+        random_sehs(random.Random(4600 + seed), rich=seed % 2 == 0, max_leaves=6)
+        for seed in range(60)
+    ]
+    for seed, sehs in enumerate(cases):
+        lits = set(naive_pool(sehs)) | gstar_pool(sehs)[0]
+        for c in random_starting_set(random.Random(4800 + seed), rich=True):
+            lits |= c
+        yield sehs, lits
+
+
+def test_leaf_literals_match_the_decoded_masks():
+    from pi2cut.solver import _leaf_literals
+
+    for sehs, _ in instance_cases():
+        assert _leaf_literals(sehs) == reference_leaf_literals(sehs), sehs.grammar
+
+
+def test_instances_match_the_reference_substitutions():
+    # Each literal's table entries are A[x\alpha, y\t_i] and A[x\r_j, y\b_j].
+    seen = 0
+    for sehs, lits in instance_cases():
+        g = sehs.grammar
+        for l in lits:
+            alphas, betas = sehs.instances(l)
+            assert alphas == tuple(substitute_literal(l, {X: alpha, Y: t}) for t in g.t_terms)
+            assert betas == tuple(
+                substitute_literal(l, {X: r, Y: Var(beta(j))}) for j, r in enumerate(g.r_terms, 1)
+            )
+            seen += 1
+    assert seen > 500, seen
 
 
 class TestAntiInstances:
@@ -303,7 +368,7 @@ class TestInAllowed:
     def test_allowed_literals_on_swap_pair(self):
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
-        for idx in range(len(sehs.leaves)):
+        for idx in range(len(sehs.leaf_masks.pairs)):
             allowed = allowed_literals(sehs, idx)
             assert lit("P", x, y) in allowed or lit("Q", x, y) in allowed
             for l in allowed:
@@ -315,7 +380,7 @@ class TestInAllowed:
         # A leaf without an alpha part admits no literal.
         leaf = Sequent.of([], [Atom("P", (const("r"), Var("b1")))])
         vars(sehs)["leaf_masks"] = leaf_masks(leaf)
-        assert sehs.leaves == (leaf,)
+        assert leaf_sequents(sehs) == (leaf,)
         assert sehs.all_leaves == 1
         assert allowed_literals(sehs, 0) == []
 
@@ -326,7 +391,7 @@ class TestInAllowed:
         sehs = build_sehs(sn.problem, sn.grammar)
         f = lambda t: App("f", (t,))
         target = lit("P", x, f(y))
-        for idx in range(len(sehs.leaves)):
+        for idx in range(len(sehs.leaf_masks.pairs)):
             assert target in allowed_literals(sehs, idx)
 
     def test_swap_pair_allowed_sets(self):
@@ -334,7 +399,7 @@ class TestInAllowed:
         sehs = build_sehs(pf.problem, pf.grammar)
         P = lit("P", x, y)
         Q = lit("Q", x, y)
-        for idx in range(len(sehs.leaves)):
+        for idx in range(len(sehs.leaf_masks.pairs)):
             assert allowed(sehs, idx, {P})
             assert allowed(sehs, idx, {Q})
             assert not allowed(sehs, idx, {P, Q})
@@ -342,7 +407,7 @@ class TestInAllowed:
     def test_subset_closure(self):
         pf = swap_pair()
         sehs = build_sehs(pf.problem, pf.grammar)
-        for idx in range(len(sehs.leaves)):
+        for idx in range(len(sehs.leaf_masks.pairs)):
             big = frozenset(allowed_literals(sehs, idx))
             if allowed(sehs, idx, big):
                 for member in big:
@@ -355,7 +420,7 @@ class TestInAllowed:
         sehs = build_sehs(sn.problem, sn.grammar)
         f = lambda t: App("f", (t,))
         target = frozenset({lit("P", x, f(y))})
-        assert all(allowed(sehs, idx, target) for idx in range(len(sehs.leaves)))
+        assert all(allowed(sehs, idx, target) for idx in range(len(sehs.leaf_masks.pairs)))
 
 
 def definition_masks(sehs, clause):
@@ -365,7 +430,7 @@ def definition_masks(sehs, clause):
     witness i, every literal of the pick has its alpha_t(l, i) in A)."""
     g = sehs.grammar
     alpha_t = lambda l, i: substitute_literal(l, {X: alpha, Y: g.t_terms[i]})
-    parts = [leaf_parts(sehs, leaf) for leaf in sehs.leaves]
+    parts = [leaf_parts(sehs, leaf) for leaf in leaf_sequents(sehs)]
 
     def mask(closes):
         return sum(1 << idx for idx, part in enumerate(parts) if closes(*part))
@@ -789,23 +854,27 @@ class TestIntroduceCut:
 
     def test_one_leaf_pass_per_solve(self, monkeypatch):
         # The leaf engine runs once per solve, and the solve reads its
-        # masks only: no leaf is decoded into a sequent.
+        # masks only: no mask is decoded into formulas.
         import pi2cut.solver as solver
         from pi2cut.benchmark import generate_sn
+        from pi2cut.calculus import LeafMasks
 
         calls = []
         real = solver.partitioned_dnta
+        decoded = []
+        real_decode = LeafMasks.decode
 
         def counted(sehs):
             calls.append(sehs)
             return real(sehs)
 
         monkeypatch.setattr(solver, "partitioned_dnta", counted)
+        monkeypatch.setattr(LeafMasks, "decode", lambda *a: decoded.append(a) or real_decode(*a))
         for pf, pool in ((generate_sn(3), "gstar"), (two_step(), "naive")):
             calls.clear()
             introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
             assert len(calls) == 1
-            assert "leaf_masks" in vars(calls[0]) and "leaves" not in vars(calls[0])
+            assert "leaf_masks" in vars(calls[0]) and not decoded
 
     def test_one_grammar_check_per_solve(self, monkeypatch):
         # `build_sehs` validates the grammar and the proof's extended
@@ -842,6 +911,23 @@ class TestIntroduceCut:
                 pf.grammar,
                 SolverOptions(pool="naive", max_candidates=10),
             )
+
+    def test_pick_budget_reports_the_count(self):
+        # Two literals under twelve witnesses make 4,096 picks, the budget;
+        # three make 531,441, past it.  The cap carries the solve's counters.
+        from dataclasses import replace
+
+        from pi2cut.solver import CapExceeded
+
+        pf = swap_pair()
+        g = replace(pf.grammar, t_terms=pf.grammar.t_terms * 6)
+        sehs = build_sehs(pf.problem, g)
+        assert len(sehs.sol_picks(frozenset({lit("P", x, y), lit("Q", x, y)}))) == 4096
+        pool = frozenset({frozenset({lit("P", x, y), lit("Q", x, y), lit("P", y, x)})})
+        with pytest.raises(CapExceeded, match=r"too many sol picks for one clause \(531441\)") as info:
+            introduce_cut(pf.problem, g, SolverOptions(pool=pool))
+        s = info.value.stats
+        assert (s.pool, s.candidates, s.cl_passed, s.sol_passed, s.caps_hit) == ("file", 1, 1, 0, True)
 
     def test_unknown_pool_is_rejected(self):
         with pytest.raises(SolverError, match="unknown pool 'foo'"):
