@@ -90,7 +90,8 @@ class VerificationFailure(SolverError):
 
 @dataclass
 class SearchStats:
-    """Search counters; a counter stays None when its stage was never reached."""
+    """The search's counters, built and updated by `introduce_cut` only; a
+    counter stays None when its stage was never reached."""
 
     pool: str = ""
     pool_size: int | None = None
@@ -108,9 +109,12 @@ class NoSolutionUnderPool(SolverError):
 
 
 class CapExceeded(SolverError):
-    def __init__(self, stats: SearchStats, what: str):
+    """A search limit was reached.  `stats` holds the search's counters when
+    `introduce_cut` raised it, and is None when a stage was called on its own."""
+
+    def __init__(self, what: str):
         super().__init__(f"search cap exceeded: {what}")
-        self.stats = stats
+        self.stats: SearchStats | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +152,7 @@ class Sehs:
     problem: PrenexProblem
     grammar: SchematicPi2Grammar
     _atom_ids: dict[Atom, int] = _cache()
+    _literals: dict[int, Literal] = _cache()
     _instances: dict[Literal, _Instances] = _cache()
     _cl_pick: dict[tuple[Clause, int], _Pick] = _cache()
     _sol_picks: dict[Clause, list[_Pick]] = _cache()
@@ -210,13 +215,21 @@ class Sehs:
         return mask
 
     def _atom_id(self, atom: Atom) -> int:
-        return self._atom_ids.setdefault(atom, len(self._atom_ids) + 1)
+        n = self._atom_ids.get(atom)
+        if n is None:
+            n = self._atom_ids[atom] = len(self._atom_ids) + 1
+            self._literals[n], self._literals[-n] = Literal(True, atom), Literal(False, atom)
+        return n
 
     def lit_id(self, lit: Literal) -> int:
         """A signed number per literal: its atom's number, negated when the
         literal is negative, so that a literal's dual is its negation."""
         n = self._atom_id(lit.atom)
         return n if lit.positive else -n
+
+    def literal(self, n: int) -> Literal:
+        """The literal whose `lit_id` is n, for an id already issued."""
+        return self._literals[n]
 
     def instances(self, lit: Literal) -> _Instances:
         """The literal's alpha instances l[x\\alpha, y\\t_i], one per
@@ -271,8 +284,7 @@ class Sehs:
         if hit is None:
             count = len(clause) ** self.grammar.p
             if count > _PICK_CAP:
-                stats = SearchStats(caps_hit=True)
-                raise CapExceeded(stats, f"too many sol picks for one clause ({count})")
+                raise CapExceeded(f"too many sol picks for one clause ({count})")
             hit = []
             for pick in itertools.product(sorted(clause, key=literal_key), repeat=self.grammar.p):
                 insts = [self.instances(l)[0][i] for i, l in enumerate(pick)]
@@ -397,11 +409,10 @@ def cl_filter(
 ) -> frozenset[ClauseSet]:
     """Subsets of the starting set, of at most `max_clauses` clauses, that
     survive the universal-side filter.  A subset is tried only when every
-    subset one clause smaller survived (see `_cl_survivors`)."""
+    subset one clause smaller survived (see `_cl_levels`)."""
     clauses = set(starting)
     limit = len(clauses) if max_clauses is None else max_clauses
-    stats = SearchStats(candidates=0, cl_passed=0)
-    return frozenset(map(frozenset, _cl_survivors(clauses, sehs, limit, stats)))
+    return frozenset(frozenset(cs) for cs, passed in _cl_levels(clauses, sehs, limit) if passed)
 
 
 def sol_filter(candidates: Iterable[ClauseSet], sehs: Sehs) -> frozenset[ClauseSet]:
@@ -422,10 +433,10 @@ _SITE_CAP = 16
 _PICK_CAP = 4096
 
 
-def _generalise(lit: Literal, sys: GStarSystem, pool: str) -> frozenset[Literal]:
+def _generalise(lit: Literal, sys: GStarSystem) -> frozenset[Literal]:
     """`reachable_literals`, capped: a literal with more than `_SITE_CAP`
-    subterm occurrences that are images (each counted once per image) ends
-    the search for the named pool."""
+    subterm occurrences that are images (each counted once per image)
+    raises `CapExceeded`."""
     sites = 0
     todo = list(lit.atom.args)
     while todo:
@@ -434,8 +445,7 @@ def _generalise(lit: Literal, sys: GStarSystem, pool: str) -> frozenset[Literal]
         if isinstance(t, App):
             todo.extend(t.args)
     if sites > _SITE_CAP:
-        stats = SearchStats(pool=pool, caps_hit=True)
-        raise CapExceeded(stats, f"too many generalisation sites ({sites})")
+        raise CapExceeded(f"too many generalisation sites ({sites})")
     return reachable_literals(lit, sys)
 
 
@@ -448,16 +458,13 @@ def _leaf_literals(sehs: Sehs) -> tuple[set[Literal], frozenset[Literal]]:
     betas = frozenset(sehs.grammar.beta_vars())
     lefts: set[Literal] = set()
     rights: set[Literal] = set()
-    held = sehs._holders
-    # Read after the index, which numbers every atom it holds: atom n is atoms[n - 1].
-    atoms = list(sehs._atom_ids)
-    for n in held:
-        atom = atoms[abs(n) - 1]
-        vs = free_vars(atom)
+    for n in sehs._holders:
+        lit = sehs.literal(n)
+        vs = free_vars(lit.atom)
         if ALPHA in vs or betas.isdisjoint(vs):
-            lefts.add(Literal(n > 0, atom))
+            lefts.add(lit)
         if ALPHA not in vs:
-            rights.add(Literal(n < 0, atom))
+            rights.add(sehs.literal(-n))
     return lefts, frozenset(rights)
 
 
@@ -470,10 +477,10 @@ def naive_pool(sehs: Sehs) -> frozenset[Literal]:
     out: set[Literal] = set()
     for lit in lefts:
         for t in g.t_terms:
-            out |= _generalise(lit, GStarSystem((Var(ALPHA),), (t,)), "naive")
+            out |= _generalise(lit, GStarSystem((Var(ALPHA),), (t,)))
     for lit in rights:
         for j, r in enumerate(g.r_terms, 1):
-            out |= _generalise(lit, GStarSystem((r,), (Var(beta(j)),)), "naive")
+            out |= _generalise(lit, GStarSystem((r,), (Var(beta(j)),)))
     return frozenset(out)
 
 
@@ -485,7 +492,7 @@ def gstar_pool(sehs: Sehs) -> tuple[frozenset[Literal], bool]:
     whether every leaf has a literal of its A or N side with a partner."""
     sys = gstar_of(sehs.grammar)
     lefts, rights = _leaf_literals(sehs)
-    reach = {l: _generalise(l, sys, "gstar") for l in lefts | rights}
+    reach = {l: _generalise(l, sys) for l in lefts | rights}
     right_reach = frozenset().union(*(reach[q] for q in rights))
     partnered = [l for l in lefts if not reach[l].isdisjoint(right_reach)]
     unifiable = sehs.holding(map(sehs.lit_id, partnered)) == sehs.all_leaves
@@ -585,12 +592,12 @@ class SolutionReport:
 
 def _starting_clauses(sehs: Sehs, options: SolverOptions, stats: SearchStats) -> list[Clause]:
     if isinstance(options.pool, str):
+        stats.pool = options.pool  # named first, so that a site cap reports it
         if options.pool == "gstar":
             pool, unifiable = gstar_pool(sehs)
             stats.unifiable = unifiable
         else:
             pool = naive_pool(sehs)
-        stats.pool = options.pool
         stats.pool_size = len(pool)
         return clauses_from_pool(pool, options.max_clause_size)
     clauses = list(options.pool)
@@ -628,15 +635,12 @@ def _next_level(
     )
 
 
-def _cl_survivors(
-    clauses: Iterable[Clause],
-    sehs: Sehs,
-    max_clauses: int,
-    stats: SearchStats,
-    max_candidates: int | None = None,
-) -> Iterator[tuple[Clause, ...]]:
-    """The sets of 1..max_clauses distinct clauses that pass the cl filter,
-    smallest first: by clause count, then as `_next_level` orders a level.
+def _cl_levels(
+    clauses: Iterable[Clause], sehs: Sehs, max_clauses: int
+) -> Iterator[tuple[tuple[Clause, ...], bool]]:
+    """Each set of 1..max_clauses distinct clauses the level-wise search
+    tries, with its cl verdict, smallest first: by clause count, then as
+    `_next_level` orders a level.
 
     The cl filter is anti-monotone: a superset of a failing set holds its
     failing pick vector.  So level 1 tries every clause, level k only the
@@ -644,23 +648,17 @@ def _cl_survivors(
     level k - 1 (Apriori), and a level without survivors ends the search.
     A cl vector picks one clause for each of the m universal witnesses, so
     above level m each vector of a tried set is a vector of one of its
-    subsets, which all passed: such a set passes without a walk.  Each
-    tried set counts as a candidate in `stats`; trying one more than
-    `max_candidates` raises `CapExceeded`."""
+    subsets, which all passed: such a set passes without a walk."""
     m = sehs.grammar.m
     pool = sorted(clauses, key=lambda c: (len(c), clause_key(c)))
     level: list[tuple[Clause, ...]] = [()]
     for k in range(1, max_clauses + 1):
         parents, level = set(level), []
         for cand in _next_level(parents, pool):
-            if max_candidates is not None and stats.candidates >= max_candidates:
-                stats.caps_hit = True
-                raise CapExceeded(stats, f"more than {max_candidates} candidates")
-            stats.candidates += 1
-            if k > m or _passes_cl(cand, sehs):
-                stats.cl_passed += 1
+            passed = k > m or _passes_cl(cand, sehs)
+            if passed:
                 level.append(cand)
-                yield cand
+            yield cand, passed
         if not level:
             return
         if k == 1:
@@ -674,35 +672,39 @@ def introduce_cut(
     term_set: HerbrandInstanceSet | None = None,
 ) -> SolutionReport:
     """Find a cut matrix over the given pool, verify it, and build the
-    one-cut proof.  The cl survivors (`_cl_survivors`) go through the sol
-    filter and the verifier smallest first (clause count, then literal
-    count, then canonical order); `stats.candidates` counts the sets the
-    cl filter tried, and `max_candidates` caps that count."""
+    one-cut proof.  The cl survivors of the level engine (`_cl_levels`) go
+    through the sol filter and the verifier smallest first (clause count,
+    then literal count, then canonical order).  Only this owns `stats`:
+    `candidates` counts the sets tried, `max_candidates` caps that count,
+    and each cap (site, pick budget, candidates) leaves with its counters."""
     sehs = build_sehs(pb, g, term_set)
     stats = SearchStats()
-    clauses = _starting_clauses(sehs, options, stats)
-    stats.candidates = stats.cl_passed = stats.sol_passed = 0
     found: list[ClauseSet] = []
-    survivors = _cl_survivors(clauses, sehs, options.max_clauses, stats, options.max_candidates)
-    for cand in survivors:
-        try:
-            passed = _passes_sol(cand, sehs)
-        except CapExceeded as e:
-            # The pick budget is checked on the `Sehs`, which keeps no counters.
-            stats.caps_hit = True
-            e.stats = stats
-            raise
-        if not passed:
-            continue
-        stats.sol_passed += 1
-        cs = frozenset(cand)
-        if not verify_solution(sehs, cs):
-            raise VerificationFailure(
-                "filter admitted a non-solution; this is a bug in the solver"
-            )
-        found.append(cs)
-        if not options.all_solutions:
-            break
+    try:
+        clauses = _starting_clauses(sehs, options, stats)
+        stats.candidates = stats.cl_passed = stats.sol_passed = 0
+        for cand, passed in _cl_levels(clauses, sehs, options.max_clauses):
+            if stats.candidates == options.max_candidates:
+                raise CapExceeded(f"more than {options.max_candidates} candidates")
+            stats.candidates += 1
+            if not passed:
+                continue
+            stats.cl_passed += 1
+            if not _passes_sol(cand, sehs):
+                continue
+            stats.sol_passed += 1
+            cs = frozenset(cand)
+            if not verify_solution(sehs, cs):
+                raise VerificationFailure(
+                    "filter admitted a non-solution; this is a bug in the solver"
+                )
+            found.append(cs)
+            if not options.all_solutions:
+                break
+    except CapExceeded as e:
+        stats.caps_hit = True
+        e.stats = stats
+        raise
     if not found:
         raise NoSolutionUnderPool(stats)
     best = found[0]

@@ -105,17 +105,10 @@ class TestSolve:
         counts = (data["candidates"], data["cl-passed"], data["sol-passed"], data["caps-hit"])
         assert counts == ("721", "696", "0", "false")
 
-    def test_generalisation_site_cap(self, tmp_path, capsys):
+    def test_generalisation_site_cap(self, capsys):
         # 17 occurrences of alpha in one leaf literal: more generalisation
         # sites than either pool explores, a search limit on valid input.
-        args = " ".join(["x1"] * 17)
-        problem = tmp_path / "wide.p2"
-        problem.write_text(
-            "(signature (fun r 0) (fun t1 1) (pred P 17))\n"
-            "(forall-vars x1)\n(exists-vars y1)\n"
-            f"(antecedent (P {args}))\n(succedent (P {args.replace('x1', 'y1')}))\n"
-            "(grammar (f-tuples (alpha)) (g-tuples (b1)) (r-terms r) (t-terms (t1 alpha)))\n"
-        )
+        problem = HOSTILE / "site_cap.p2"
         for pool in ("naive", "gstar"):
             assert main(["solve", str(problem), "--pool", pool, "--json"]) == 1
             data = json.loads(capsys.readouterr().out)

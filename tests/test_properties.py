@@ -21,9 +21,8 @@ from pi2cut.herbrand import (
 )
 from pi2cut.solver import (
     NoSolutionUnderPool,
-    SearchStats,
     SolverOptions,
-    _cl_survivors,
+    _cl_levels,
     _open_vectors,
     _passes_cl,
     _passes_sol,
@@ -353,8 +352,8 @@ _THREE_WITNESSES = """
 
 def test_levels_above_m_need_no_cl_walk(monkeypatch):
     """With m = 3 the cl filter walks the sets of one to three clauses and
-    passes those of four unwalked; the survivors and counters are still
-    those of each set's own verdict under Apriori."""
+    passes those of four unwalked; the engine still yields exactly the sets
+    Apriori tries, each with its own verdict."""
     from pi2cut.problem_io import parse_problem
 
     pf = parse_problem(_THREE_WITNESSES)
@@ -370,8 +369,7 @@ def test_levels_above_m_need_no_cl_walk(monkeypatch):
         return verdict[frozenset(cand)]
 
     monkeypatch.setattr(solver, "_passes_cl", counted)
-    stats = SearchStats(candidates=0, cl_passed=0)
-    survivors = list(_cl_survivors(clauses, sehs, 4, stats))
+    levels = list(_cl_levels(clauses, sehs, 4))
 
     # Apriori tries a set when it has one clause or each subset one
     # clause smaller passed.
@@ -381,8 +379,7 @@ def test_levels_above_m_need_no_cl_walk(monkeypatch):
     ]
     assert sorted(walked) == [1, 2, 3] and walked[3] > 0
     assert sum(len(cs) == 4 for cs in tried) > 0
-    assert survivors == [cs for cs in tried if verdict[frozenset(cs)]]
-    assert (stats.candidates, stats.cl_passed) == (len(tried), len(survivors))
+    assert levels == [(cs, verdict[frozenset(cs)]) for cs in tried]
 
 
 def test_pruned_search_matches_the_full_enumeration():
@@ -394,11 +391,11 @@ def test_pruned_search_matches_the_full_enumeration():
     for pf, sehs, pool, size, clauses, max_clauses in _search_cases():
         reference = list(reference_clause_sets(clauses, max_clauses))
         cl_verdicts = [_passes_cl(cs, sehs) for cs in reference]
-        stats = SearchStats(candidates=0, cl_passed=0)
-        survivors = list(_cl_survivors(clauses, sehs, max_clauses, stats))
+        levels = list(_cl_levels(clauses, sehs, max_clauses))
+        survivors = [cs for cs, passed in levels if passed]
         assert survivors == list(itertools.compress(reference, cl_verdicts))
-        assert stats.candidates <= len(reference)
-        pruned += stats.candidates < len(reference)
+        assert len(levels) <= len(reference)
+        pruned += len(levels) < len(reference)
         for all_solutions in (False, True):
             found, tried, cl, sol = brute_search(sehs, reference, cl_verdicts, all_solutions)
             options = SolverOptions(pool, max_clauses, size, all_solutions=all_solutions)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +27,9 @@ from pi2cut.herbrand import (
     NotTautological,
     proof_from_eh,
 )
-from pi2cut.problem_io import print_sequent
+from pi2cut.problem_io import parse_problem, print_sequent
 from pi2cut.solver import (
+    CapExceeded,
     CoverFailure,
     NoSolutionUnderPool,
     NotASolution,
@@ -316,6 +318,17 @@ def test_leaf_literals_match_the_decoded_masks():
 
     for sehs, _ in instance_cases():
         assert _leaf_literals(sehs) == reference_leaf_literals(sehs), sehs.grammar
+
+
+def test_literal_inverts_lit_id():
+    # Every id maps back to its literal, and its negation to the dual.
+    seen = 0
+    for sehs, lits in instance_cases():
+        for l in lits:
+            n = sehs.lit_id(l)
+            assert sehs.literal(n) is l and sehs.literal(-n) is dual(l)
+            seen += 1
+    assert seen > 500, seen
 
 
 def test_instances_match_the_reference_substitutions():
@@ -902,8 +915,6 @@ class TestIntroduceCut:
         assert all(verify_solution(sehs, cs) for cs in survivors) and not checked
 
     def test_cap_exceeded(self):
-        from pi2cut.solver import CapExceeded
-
         pf = shared_base()
         with pytest.raises(CapExceeded):
             introduce_cut(
@@ -914,20 +925,42 @@ class TestIntroduceCut:
 
     def test_pick_budget_reports_the_count(self):
         # Two literals under twelve witnesses make 4,096 picks, the budget;
-        # three make 531,441, past it.  The cap carries the solve's counters.
+        # three make 531,441, past it.  The cap carries the solve's counters,
+        # and none when a stage that reads the picks is called on its own.
         from dataclasses import replace
-
-        from pi2cut.solver import CapExceeded
 
         pf = swap_pair()
         g = replace(pf.grammar, t_terms=pf.grammar.t_terms * 6)
         sehs = build_sehs(pf.problem, g)
         assert len(sehs.sol_picks(frozenset({lit("P", x, y), lit("Q", x, y)}))) == 4096
         pool = frozenset({frozenset({lit("P", x, y), lit("Q", x, y), lit("P", y, x)})})
-        with pytest.raises(CapExceeded, match=r"too many sol picks for one clause \(531441\)") as info:
+        budget = r"too many sol picks for one clause \(531441\)"
+        with pytest.raises(CapExceeded, match=budget) as info:
             introduce_cut(pf.problem, g, SolverOptions(pool=pool))
         s = info.value.stats
         assert (s.pool, s.candidates, s.cl_passed, s.sol_passed, s.caps_hit) == ("file", 1, 1, 0, True)
+        for stage in (lambda: sol_filter([pool], sehs), lambda: is_balanced(sehs, pool)):
+            with pytest.raises(CapExceeded, match=budget) as info:
+                stage()
+            assert info.value.stats is None
+
+    def test_site_cap_reports_the_pool(self):
+        # One leaf literal with 17 generalisation sites, past the site cap:
+        # through `introduce_cut` the cap names the pool and carries no
+        # later counter; either pool called on its own carries none.
+        pf = parse_problem((Path(__file__).parent / "hostile" / "site_cap.p2").read_text())
+        sites = r"too many generalisation sites \(17\)"
+        for pool in ("naive", "gstar"):
+            with pytest.raises(CapExceeded, match=sites) as info:
+                introduce_cut(pf.problem, pf.grammar, SolverOptions(pool=pool))
+            s = info.value.stats
+            counters = (s.pool_size, s.unifiable, s.candidates, s.cl_passed, s.sol_passed)
+            assert (s.pool, s.caps_hit, counters) == (pool, True, (None,) * 5)
+        sehs = build_sehs(pf.problem, pf.grammar)
+        for stage in (naive_pool, gstar_pool):
+            with pytest.raises(CapExceeded, match=sites) as info:
+                stage(sehs)
+            assert info.value.stats is None
 
     def test_unknown_pool_is_rejected(self):
         with pytest.raises(SolverError, match="unknown pool 'foo'"):
@@ -935,13 +968,14 @@ class TestIntroduceCut:
 
     def test_cap_counts_the_sets_tried(self):
         # The pruned search tries 721 sets: a cap of 720 stops it before
-        # the last one, and a cap of 721 lets it end without a solution.
-        from pi2cut.solver import CapExceeded
-
+        # the last one, a cl survivor, and a cap of 721 lets it end without
+        # a solution.
         pf = two_bases()
-        with pytest.raises(CapExceeded) as info:
+        with pytest.raises(CapExceeded, match="more than 720 candidates") as info:
             introduce_cut(pf.problem, pf.grammar, SolverOptions(pool="naive", max_candidates=720))
-        assert info.value.stats.candidates == 720 and info.value.stats.caps_hit
+        s = info.value.stats
+        counts = (s.pool, s.pool_size, s.candidates, s.cl_passed, s.sol_passed, s.caps_hit)
+        assert counts == ("naive", 6, 720, 695, 0, True)
         with pytest.raises(NoSolutionUnderPool) as info:
             introduce_cut(pf.problem, pf.grammar, SolverOptions(pool="naive", max_candidates=721))
         s = info.value.stats
